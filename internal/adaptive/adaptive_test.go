@@ -7,6 +7,7 @@ import (
 
 	"specfetch/internal/core"
 	"specfetch/internal/metrics"
+	"specfetch/internal/obs"
 )
 
 // win fabricates a window digest: 1000 instructions with the given
@@ -15,9 +16,11 @@ func win(active core.Policy, lpi float64) core.AdaptWindow {
 	var lost metrics.Breakdown
 	lost[metrics.RTICache] = metrics.Slots(lpi * 1000)
 	return core.AdaptWindow{
-		StartInsts: 0, EndInsts: 1000,
-		Cycles: 2000,
-		Lost:   lost,
+		Window: obs.Window{
+			StartInsts: 0, EndInsts: 1000,
+			EndCycle: 2000,
+			Lost:     lost,
+		},
 		Active: active,
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"specfetch/internal/core"
 	"specfetch/internal/metrics"
+	"specfetch/internal/obs"
 )
 
 // phaseWin fabricates an indexed window digest: windows of 1000
@@ -15,10 +16,12 @@ func phaseWin(idx int64, active core.Policy, lpi float64) core.AdaptWindow {
 	var lost metrics.Breakdown
 	lost[metrics.RTICache] = metrics.Slots(lpi * 1000)
 	return core.AdaptWindow{
-		Index:      idx,
-		StartInsts: idx * 1000, EndInsts: (idx + 1) * 1000,
-		Cycles: 2000,
-		Lost:   lost,
+		Window: obs.Window{
+			StartInsts: idx * 1000, EndInsts: (idx + 1) * 1000,
+			EndCycle: 2000,
+			Lost:     lost,
+		},
+		Index:  idx,
 		Active: active,
 	}
 }

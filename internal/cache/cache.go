@@ -225,21 +225,18 @@ func (c *ICache) Probe(line uint64) bool {
 	return c.find(line) != nil || c.victimFind(line) >= 0
 }
 
-// ProbeArray reports residency in the cache array alone — no victim-buffer
-// consultation, no LRU or counter side effects. The skip-ahead engine uses
-// it to test whether a run of consecutive fetches would all hit trivially: a
-// victim-buffer hit has side effects (the swap back into the array), so such
-// lines must go through Access instead.
-func (c *ICache) ProbeArray(line uint64) bool { return c.find(line) != nil }
-
 // WayHandle is an opaque reference to the array way holding a line. A
-// ProbeWay/TouchWay pair costs one tag lookup where ProbeArray followed by
-// Touch costs two; handles stay valid only until the next Fill, invalidation,
-// or Reset, so callers must not hold them across such calls.
+// ProbeWay/TouchWay pair costs one tag lookup where a residency probe
+// followed by Touch costs two; handles stay valid only until the next Fill,
+// invalidation, or Reset, so callers must not hold them across such calls.
 type WayHandle *way
 
-// ProbeWay is ProbeArray returning the way itself (nil when the line is not
-// in the array), for callers that will touch the line after probing it.
+// ProbeWay returns the array way holding the line, or nil when the line is
+// not in the array. It consults the array alone — no victim buffer, no LRU
+// or counter side effects — so the skip-ahead engine can test whether a run
+// of consecutive fetches would all hit trivially: a victim-buffer hit has
+// side effects (the swap back into the array), so such lines must go through
+// Access instead. Callers touch the returned way after probing it.
 func (c *ICache) ProbeWay(line uint64) WayHandle { return WayHandle(c.find(line)) }
 
 // TouchWay applies n consecutive demand hits to a previously probed way:

@@ -1,6 +1,6 @@
 package core
 
-import "specfetch/internal/metrics"
+import "specfetch/internal/obs"
 
 // The Adaptive meta-policy's decision plane. The engine slices an adaptive
 // run into fixed instruction-count windows (Config.AdaptInterval wide) and,
@@ -12,55 +12,28 @@ import "specfetch/internal/metrics"
 // chooser is measured against.
 //
 // Boundaries are defined on the correct-path instruction count, the same
-// axis the interval sampler uses, so adaptive windows align with
-// obs.WindowSeries windows at equal widths. A decision takes effect
-// immediately: the instruction that crossed the boundary has issued, and
-// every subsequent miss (correct- or wrong-path) is handled under the new
-// policy. In the skip-ahead core a boundary can fall inside a bulk-issued
-// region of plain cache-resident instructions; no miss handling happens
-// there, so the engine interpolates the digest at the boundary instruction
-// (only cycle, instruction, and access counts move inside such a region)
-// and defers the active-policy write to the end of the region — the chooser
-// sees bit-identical inputs in both step modes, which the differential
-// suite verifies.
+// axis the interval sampler uses: decision boundaries and sample boundaries
+// form one engine boundary schedule, so adaptive windows align with
+// obs.WindowSeries windows at equal widths, and at a shared instruction the
+// sample is taken before the decision. A decision takes effect immediately:
+// the instruction that crossed the boundary has issued, and every
+// subsequent miss (correct- or wrong-path) is handled under the new policy.
+// In the skip-ahead core a boundary can fall inside a bulk-issued region of
+// plain cache-resident instructions; no miss handling happens there, so the
+// engine interpolates the boundary snapshot at the boundary instruction
+// (only cycle, instruction, and access counts move inside such a region) —
+// the chooser sees bit-identical inputs in both step modes, which the
+// differential suite verifies.
 
-// AdaptWindow is one decision window's digest: counter deltas over the last
-// AdaptInterval correct-path instructions, plus which policy was active
-// while they were accumulated.
+// AdaptWindow is one decision window's digest: the obs.Window of counter
+// deltas over the last AdaptInterval correct-path instructions, plus the
+// window's ordinal and which policy was active while it accumulated.
 type AdaptWindow struct {
+	obs.Window
 	// Index is the 0-based window ordinal.
 	Index int64
-	// StartInsts/EndInsts are the window's instruction-count boundaries.
-	StartInsts, EndInsts int64
-	// Cycles is the simulated time the window took.
-	Cycles Cycles
-	// Lost is the per-component lost-slot breakdown accumulated in the
-	// window.
-	Lost metrics.Breakdown
-	// Accesses/Misses count the window's structural correct-path line
-	// references and how many of them missed.
-	Accesses, Misses int64
-	// BusBusy is the bus occupancy (transfer cycles) added in the window.
-	BusBusy Cycles
 	// Active is the static policy that produced these numbers.
 	Active Policy
-}
-
-// Insts returns the window's instruction count.
-func (w AdaptWindow) Insts() int64 { return w.EndInsts - w.StartInsts }
-
-// LostPerInst returns the window's issue slots lost per instruction — the
-// per-window ISPI the choosers rank policies by.
-func (w AdaptWindow) LostPerInst() float64 {
-	return w.Lost.TotalISPI(w.Insts())
-}
-
-// MissRate returns the window's correct-path misses per instruction.
-func (w AdaptWindow) MissRate() float64 {
-	if n := w.Insts(); n > 0 {
-		return float64(w.Misses) / float64(n)
-	}
-	return 0
 }
 
 // Chooser is the pluggable selection strategy behind the Adaptive policy.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 
 	"specfetch/internal/bpred"
@@ -96,7 +97,7 @@ type Engine struct {
 	// callback, no prefetch engine consuming first-reference bits). A
 	// sample-only probe (obs.SampleOnly) does not disqualify it: sampling
 	// observes counters at instruction-count boundaries, and bulk deltas
-	// are segmented at those boundaries by emitBulkSamples. The event-jump
+	// are segmented at those boundaries by bulkBoundaries. The event-jump
 	// stall and window accounting do not need the gate — they emit
 	// byte-identical probe streams.
 	fastIssue bool
@@ -122,20 +123,24 @@ type Engine struct {
 	active Policy
 	// chooser, when non-nil, is consulted every cfg.AdaptInterval
 	// correct-path instructions (Adaptive policy only).
-	chooser   Chooser
-	nextAdapt int64
-	adaptIdx  int64
-	// adaptPrev snapshots the counters at the last decision boundary, so
-	// each AdaptWindow is a pure delta.
-	adaptPrev adaptMark
+	chooser  Chooser
+	adaptIdx int64
+	// adaptPrev is the snapshot at the last decision boundary, so each
+	// AdaptWindow is a pure delta.
+	adaptPrev obs.Snapshot
 
 	// probe receives instrumentation callbacks; nil disables them, and
 	// every call site is guarded so the nil path costs one branch.
 	probe obs.Probe
 	// sampler, when non-nil, receives a counters snapshot every
-	// nextSample instructions (and once at run end).
-	sampler    obs.Sampler
-	nextSample int64
+	// cfg.SampleInterval instructions (and once at run end).
+	sampler obs.Sampler
+
+	// The window plane's one boundary schedule: nextSample and nextAdapt
+	// are the next sample and decision boundaries (noBoundary when no
+	// sampler or chooser is attached), nextBoundary the nearer of the two,
+	// so the per-issue check is a single compare.
+	nextSample, nextAdapt, nextBoundary int64
 
 	res Result
 	err error
@@ -144,15 +149,9 @@ type Engine struct {
 // maxCycles is a sentinel beyond any reachable simulation time.
 const maxCycles = Cycles(1) << 62
 
-// adaptMark is the counter snapshot at an adaptive decision boundary.
-type adaptMark struct {
-	insts int64
-	cy    Cycles
-	lost  metrics.Breakdown
-	acc   int64
-	miss  int64
-	busCy Cycles
-}
+// noBoundary is an instruction count no run reaches: the boundary of a
+// schedule with no consumer attached.
+const noBoundary = int64(math.MaxInt64)
 
 // btbUpdate is a decode-time speculative BTB insertion.
 type btbUpdate struct {
@@ -205,7 +204,6 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 			return nil, fmt.Errorf("core: chooser First() returned non-static policy %v", first)
 		}
 		e.active = first
-		e.nextAdapt = cfg.AdaptInterval
 	}
 	e.lastIssueCy = -Cycles(cfg.DecodeLatency) // nothing pending at t=0
 	e.nextUpdAt = maxCycles
@@ -239,7 +237,6 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 	if cfg.Probe != nil {
 		if s, ok := cfg.Probe.(obs.Sampler); ok && cfg.SampleInterval > 0 {
 			e.sampler = s
-			e.nextSample = cfg.SampleInterval
 		}
 		// A sample-only probe promises to ignore every per-event callback,
 		// so the engine does not carry it as e.probe at all: event emission
@@ -249,6 +246,14 @@ func NewEngine(cfg Config, img *program.Image, rd trace.Reader, pred bpred.Predi
 			e.probe = cfg.Probe
 		}
 	}
+	e.nextSample, e.nextAdapt = noBoundary, noBoundary
+	if e.sampler != nil {
+		e.nextSample = cfg.SampleInterval
+	}
+	if e.chooser != nil {
+		e.nextAdapt = cfg.AdaptInterval
+	}
+	e.nextBoundary = min(e.nextSample, e.nextAdapt)
 	e.fastIssue = cfg.StepMode == StepSkipAhead && e.probe == nil &&
 		cfg.OnRightPathAccess == nil && !e.prefetchOn()
 	if pv, ok := rd.(trace.PreValidated); ok && pv.PreValidatedTrace() {
@@ -302,7 +307,7 @@ func (e *Engine) Run() (Result, error) {
 	if e.sampler != nil {
 		// Close the series on the exact final counters so cumulative
 		// values match the returned Result.
-		e.emitSample(e.res.Cycles)
+		e.sampler.Sample(e.snapshot(e.res.Cycles, e.res.Insts, e.res.RightPathAccesses))
 	}
 	// A trace error on the very first (or a boundary) record ends the loop
 	// without passing through stepCycle's error check.
@@ -356,20 +361,34 @@ func (e *Engine) runFast() bool {
 	return true
 }
 
-// emitSample delivers a cumulative-counters snapshot to the sampler.
-func (e *Engine) emitSample(cy Cycles) {
-	if e.sampler == nil {
-		return
-	}
-	e.sampler.Sample(obs.Snapshot{
+// snapshot builds the cumulative-counters snapshot at the issue of
+// instruction insts in cycle cy, after acc structural references. Inside a
+// bulk run the caller interpolates those three coordinates; every other
+// counter cannot move there, so it is read as it stands.
+func (e *Engine) snapshot(cy Cycles, insts, acc int64) obs.Snapshot {
+	return obs.Snapshot{
 		Cycle:             cy,
-		Insts:             e.res.Insts,
+		Insts:             insts,
 		Lost:              e.res.Lost,
-		RightPathAccesses: e.res.RightPathAccesses,
+		RightPathAccesses: acc,
 		RightPathMisses:   e.res.RightPathMisses,
 		BusTransfers:      e.bus.Transfers,
 		BusBusy:           e.busAccCy,
-	})
+	}
+}
+
+// boundary serves every schedule due at snap's instruction count: the
+// sample first, then the Adaptive decision.
+func (e *Engine) boundary(snap obs.Snapshot) {
+	if e.sampler != nil && snap.Insts >= e.nextSample {
+		e.sampler.Sample(snap)
+		e.nextSample += e.cfg.SampleInterval
+	}
+	if snap.Insts >= e.nextAdapt {
+		e.decide(snap)
+		e.nextAdapt += e.cfg.AdaptInterval
+	}
+	e.nextBoundary = min(e.nextSample, e.nextAdapt)
 }
 
 func (e *Engine) done() bool {
@@ -820,12 +839,8 @@ func (e *Engine) stepCycle() {
 		// Issue the instruction.
 		e.res.Insts++
 		e.lastIssueCy = e.cy
-		if e.sampler != nil && e.res.Insts >= e.nextSample {
-			e.emitSample(e.cy)
-			e.nextSample += e.cfg.SampleInterval
-		}
-		if e.chooser != nil && e.res.Insts >= e.nextAdapt {
-			e.adaptAt(e.cy, e.res.Insts, e.res.RightPathAccesses)
+		if e.res.Insts >= e.nextBoundary {
+			e.boundary(e.snapshot(e.cy, e.res.Insts, e.res.RightPathAccesses))
 		}
 		e.consumeInst()
 
@@ -910,28 +925,14 @@ func (e *Engine) tryPrefetch(now Cycles) {
 	}
 }
 
-// adaptAt fires one Adaptive decision boundary: it digests the window that
-// just closed (ending at the boundary instruction's cycle/instruction/access
-// coordinates — interpolated by the caller when the boundary fell inside a
-// bulk-issued region) and installs the chooser's pick as the active policy.
-// Lost, miss, and bus counters come straight from e.res: inside a bulk
-// region they cannot have moved since the boundary, and outside one they are
-// exact.
-func (e *Engine) adaptAt(cy Cycles, insts, acc int64) {
-	var lost metrics.Breakdown
-	for i := range lost {
-		lost[i] = e.res.Lost[i] - e.adaptPrev.lost[i]
-	}
+// decide fires one Adaptive decision boundary: it hands the chooser the
+// window since the previous boundary and installs its pick as the active
+// policy.
+func (e *Engine) decide(snap obs.Snapshot) {
 	next := e.chooser.Decide(AdaptWindow{
-		Index:      e.adaptIdx,
-		StartInsts: e.adaptPrev.insts,
-		EndInsts:   insts,
-		Cycles:     cy - e.adaptPrev.cy,
-		Lost:       lost,
-		Accesses:   acc - e.adaptPrev.acc,
-		Misses:     e.res.RightPathMisses - e.adaptPrev.miss,
-		BusBusy:    e.busAccCy - e.adaptPrev.busCy,
-		Active:     e.active,
+		Window: obs.Between(e.adaptPrev, snap),
+		Index:  e.adaptIdx,
+		Active: e.active,
 	})
 	if !next.IsStatic() {
 		panic(fmt.Sprintf("core: chooser Decide() returned non-static policy %v", next))
@@ -941,15 +942,7 @@ func (e *Engine) adaptAt(cy Cycles, insts, acc int64) {
 		e.res.PolicySwitches++
 	}
 	e.adaptIdx++
-	e.adaptPrev = adaptMark{
-		insts: insts,
-		cy:    cy,
-		lost:  e.res.Lost,
-		acc:   acc,
-		miss:  e.res.RightPathMisses,
-		busCy: e.busAccCy,
-	}
-	e.nextAdapt += e.cfg.AdaptInterval
+	e.adaptPrev = snap
 }
 
 // handleRightPathMiss models a demand miss on the correct path at the

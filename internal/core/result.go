@@ -64,15 +64,6 @@ func (r Result) MissRatioPct() float64 {
 	return 100 * float64(r.RightPathMisses) / float64(r.Insts)
 }
 
-// WrongPathMissPct returns wrong-path miss occurrences per correct-path
-// instruction as a percentage.
-func (r Result) WrongPathMissPct() float64 {
-	if r.Insts == 0 {
-		return 0
-	}
-	return 100 * float64(r.WrongPathMisses) / float64(r.Insts)
-}
-
 // PHTMispredictISPI returns issue slots lost to conditional-direction
 // mispredicts per instruction (Table 3, "PHT Mispredict ISPI").
 func (r Result) PHTMispredictISPI() float64 {

@@ -3,7 +3,6 @@ package core
 import (
 	"specfetch/internal/isa"
 	"specfetch/internal/metrics"
-	"specfetch/internal/obs"
 )
 
 // This file is the skip-ahead half of the engine: the same machine as the
@@ -62,8 +61,8 @@ func plainMemoIdx(pc0 isa.Addr, total int) int {
 // boundaries all end the run and fall back to stepCycle). It returns true
 // when it issued at least one full cycle. Callers guarantee !e.done() and
 // the fastIssue gate (no event probe, no access callback, no prefetch
-// engine). A sample-only probe is compatible: sample boundaries that fall
-// inside the bulk delta are segmented out by emitBulkSamples rather than
+// engine). A sample-only probe and a chooser are compatible: boundaries that
+// fall inside the bulk delta are segmented out by bulkBoundaries rather than
 // ending the run.
 func (e *Engine) bulkPlains() bool {
 	if !e.haveRec {
@@ -109,9 +108,9 @@ func (e *Engine) bulkPlains() bool {
 	total := cyc * w
 	ipl := e.geom.InstPerLine()
 
-	// Pre-effect state, captured for emitBulkSamples: a sample boundary
-	// inside the run must report the counters as they stood when its
-	// boundary instruction issued, not the run's final totals.
+	// Pre-effect state, captured for bulkBoundaries: a boundary inside the
+	// run must report the counters as they stood when its boundary
+	// instruction issued, not the run's final totals.
 	acc0 := e.res.RightPathAccesses
 	lastLine0, haveLast0 := e.lastInstLine, e.haveLastLine
 
@@ -131,8 +130,7 @@ func (e *Engine) bulkPlains() bool {
 			e.res.RightPathAccesses += n
 			e.lastInstLine = line0 + uint64(m.segs) - 1
 			e.haveLastLine = true
-			e.emitBulkSamples(pc0, total, acc0, lastLine0, haveLast0)
-			e.emitBulkAdapt(pc0, total, acc0, lastLine0, haveLast0)
+			e.bulkBoundaries(pc0, total, acc0, lastLine0, haveLast0)
 			e.finishBulk(total, cyc)
 			return true
 		}
@@ -200,76 +198,37 @@ func (e *Engine) bulkPlains() bool {
 		}
 	}
 
-	e.emitBulkSamples(pc0, total, acc0, lastLine0, haveLast0)
-	e.emitBulkAdapt(pc0, total, acc0, lastLine0, haveLast0)
+	e.bulkBoundaries(pc0, total, acc0, lastLine0, haveLast0)
 	e.finishBulk(total, cyc)
 	return true
 }
 
-// emitBulkSamples segments a bulk delta of `total` instructions starting at
-// pc0 (with the pre-run access counters and last-line state passed in) at
-// every sample boundary it straddles, emitting one interpolated snapshot per
-// boundary — exactly the snapshot the reference stepper emits right after
-// issuing the boundary instruction. Within a bulk run every lookup hits and
-// no stall, miss, or bus activity occurs, so only Cycle, Insts, and the
+// bulkBoundaries walks every sample and decision boundary a bulk delta of
+// `total` instructions starting at pc0 straddles (with the pre-run access
+// counters and last-line state passed in), serving each with exactly the
+// snapshot the reference stepper builds right after issuing the boundary
+// instruction. Within a bulk run every lookup hits and no stall, miss, bus
+// activity, or policy consultation occurs, so only Cycle, Insts, and the
 // structural access count move: the boundary instruction k (1-based) issues
 // in bulk cycle (k-1)/width, and instructions 1..k reference the lines they
 // span, minus the leading segment when it continues the line the previous
-// fetch ended on. Called before finishBulk, while e.cy and e.res.Insts still
-// hold the run's starting values.
-func (e *Engine) emitBulkSamples(pc0 isa.Addr, total int, acc0 int64, lastLine0 uint64, haveLast0 bool) {
-	if e.sampler == nil {
-		return
-	}
-	insts0 := e.res.Insts
-	if insts0+int64(total) < e.nextSample {
-		return
-	}
-	line0 := e.geom.Line(pc0)
-	for ; e.nextSample <= insts0+int64(total); e.nextSample += e.cfg.SampleInterval {
-		k := e.nextSample - insts0
-		segs := int64(e.geom.Line(pc0.Plus(int(k-1))) - line0 + 1)
-		if haveLast0 && line0 == lastLine0 {
-			segs--
-		}
-		e.sampler.Sample(obs.Snapshot{
-			Cycle:             e.cy + Cycles(e.divW64(k-1)),
-			Insts:             e.nextSample,
-			Lost:              e.res.Lost,
-			RightPathAccesses: acc0 + segs,
-			RightPathMisses:   e.res.RightPathMisses,
-			BusTransfers:      e.bus.Transfers,
-			BusBusy:           e.busAccCy,
-		})
-	}
-}
-
-// emitBulkAdapt fires the Adaptive decision boundaries a bulk delta
-// straddles, interpolating each boundary's cycle and access coordinates with
-// the same closed forms emitBulkSamples uses (within a bulk run only Cycle,
-// Insts, and the structural access count move — no miss, stall, or bus
-// activity, and crucially no policy consultation). Deferring the active-
-// policy writes to here is therefore behaviour-identical to the reference
-// stepper's mid-stream switches, while the chooser still sees the exact
-// per-boundary digests it would see there. Called before finishBulk, while
+// fetch ended on. A decision inside the run therefore governs from the
+// run's end exactly as it would mid-stream. Called before finishBulk, while
 // e.cy and e.res.Insts still hold the run's starting values.
-func (e *Engine) emitBulkAdapt(pc0 isa.Addr, total int, acc0 int64, lastLine0 uint64, haveLast0 bool) {
-	if e.chooser == nil {
-		return
-	}
+func (e *Engine) bulkBoundaries(pc0 isa.Addr, total int, acc0 int64, lastLine0 uint64, haveLast0 bool) {
 	insts0 := e.res.Insts
-	if insts0+int64(total) < e.nextAdapt {
+	end := insts0 + int64(total)
+	if end < e.nextBoundary {
 		return
 	}
 	line0 := e.geom.Line(pc0)
-	// adaptAt advances e.nextAdapt by the adapt interval on every call.
-	for e.nextAdapt <= insts0+int64(total) {
-		k := e.nextAdapt - insts0
+	for e.nextBoundary <= end {
+		k := e.nextBoundary - insts0
 		segs := int64(e.geom.Line(pc0.Plus(int(k-1))) - line0 + 1)
 		if haveLast0 && line0 == lastLine0 {
 			segs--
 		}
-		e.adaptAt(e.cy+Cycles(e.divW64(k-1)), e.nextAdapt, acc0+segs)
+		e.boundary(e.snapshot(e.cy+Cycles(e.divW64(k-1)), e.nextBoundary, acc0+segs))
 	}
 }
 

@@ -7,15 +7,17 @@ import (
 
 	"specfetch/internal/bpred"
 	"specfetch/internal/cache"
+	"specfetch/internal/obs"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
 )
 
 // FuzzStepModeEquivalence is the property-based arm of the differential
 // suite: the fuzzer drives the full Config knob space (non-power-of-two
-// fetch widths, minimal latencies, tiny caches, every extension) plus the
-// walker seed, and every input must yield bit-identical final Results from
-// the skip-ahead core and the reference stepper. `go test` runs the seeded
+// fetch widths, minimal latencies, tiny caches, every extension, the
+// Adaptive meta-policy, window sampling) plus the walker seed, and every
+// input must yield bit-identical final Results, window records, and chooser
+// inputs from the skip-ahead core and the reference stepper. `go test` runs the seeded
 // corpus below as regular unit cases; `go test -fuzz=FuzzStepModeEquivalence
 // ./internal/core` explores beyond it.
 
@@ -30,7 +32,21 @@ var fuzzBenches = sync.OnceValue(func() []*synth.Bench {
 	return bs
 })
 
-// fuzzConfig decodes a 46-bit knob word into a Config. Fields are consumed
+// fuzzChooser is a deterministic digest-driven strategy: every decision is a
+// hash of the whole window it was shown, so any digest difference between
+// the step modes also diverges the run that follows.
+type fuzzChooser struct{ h uint64 }
+
+func (c *fuzzChooser) First() Policy { return Policies()[0] }
+func (c *fuzzChooser) Decide(w AdaptWindow) Policy {
+	for _, v := range []int64{w.Index, w.EndInsts, w.EndCycle.Int64(), w.Lost.Total().Int64(),
+		w.Accesses, w.Misses, int64(w.BusTransfers), w.BusBusy.Int64(), int64(w.Active)} {
+		c.h = (c.h ^ uint64(v)) * 0x100000001b3
+	}
+	return Policies()[c.h%uint64(len(Policies()))]
+}
+
+// fuzzConfig decodes a 64-bit knob word into a Config. Fields are consumed
 // in a fixed order so corpus entries stay interpretable; every decoded value
 // lands in (or is clamped to) its legal range, and Validate is still run on
 // the result as a belt-and-braces skip.
@@ -41,8 +57,6 @@ func fuzzConfig(bits uint64) Config {
 		return v
 	}
 	cfg := DefaultConfig()
-	// Static policies only: Adaptive needs a chooser, and its bulk-boundary
-	// equivalence has its own differential suite (adapt_test.go).
 	cfg.Policy = Policies()[take(3)%uint64(len(Policies()))]
 	cfg.FetchWidth = int(take(3)) + 1    // 1..8, non-powers of two included
 	cfg.MaxUnresolved = int(take(2)) + 1 // 1..4
@@ -80,6 +94,19 @@ func fuzzConfig(bits uint64) Config {
 	} else {
 		take(10)
 	}
+	// The window plane: an Adaptive run (the chooser is attached per run)
+	// and a sample interval, drawn equal to the adapt interval or
+	// independently; the step-3 and step-5 grids hit every residue modulo
+	// any fetch width, so boundaries land at every in-cycle slot.
+	if take(1) == 1 {
+		cfg.Policy = Adaptive
+	}
+	cfg.AdaptInterval = 1 + 3*int64(take(8)) // 1..766
+	if take(1) == 1 {
+		cfg.SampleInterval = cfg.AdaptInterval
+	} else {
+		cfg.SampleInterval = 1 + 5*int64(take(7)) // 1..636
+	}
 	return cfg
 }
 
@@ -87,16 +114,23 @@ func FuzzStepModeEquivalence(f *testing.F) {
 	// The seeded corpus covers each structural regime at least once: the
 	// paper baseline, minimal latencies, narrow and wide fetch, every
 	// extension knob, and a few dense words that set many at a time.
-	f.Add(uint64(0), uint64(1), uint8(0))                  // near-baseline, policy 0
+	f.Add(uint64(0), uint64(1), uint8(0)) // near-baseline, policy 0
 	f.Add(uint64(0x0000_0000_0000_0001), uint64(2), uint8(1))
 	f.Add(uint64(0x0000_0000_0000_ffff), uint64(3), uint8(2))  // min penalty regime
 	f.Add(uint64(0x0000_0000_ffff_0000), uint64(4), uint8(3))  // cache geometry bits
 	f.Add(uint64(0x0000_3fff_0000_0000), uint64(5), uint8(4))  // prefetch + L2 bits
-	f.Add(uint64(0x3fff_c000_0000_0000), uint64(6), uint8(5))  // flush bits
+	f.Add(uint64(0x0000_3ff8_0000_0000), uint64(6), uint8(5))  // flush bits
 	f.Add(uint64(0x1234_5678_9abc_def0), uint64(7), uint8(6))  // dense mixed
 	f.Add(uint64(0xfedc_ba98_7654_3210), uint64(8), uint8(9))  // dense mixed
 	f.Add(uint64(0xaaaa_aaaa_aaaa_aaaa), uint64(9), uint8(11)) // alternating
 	f.Add(uint64(0x5555_5555_5555_5555), uint64(10), uint8(12))
+	// Window-plane regimes (bits 46..63: adaptive, adapt interval, equal
+	// intervals, sample interval).
+	f.Add(uint64(1<<46|1<<55), uint64(11), uint8(3))                               // adaptive, intervals 1 / 1
+	f.Add(uint64(1<<46|255<<47|1<<55), uint64(12), uint8(7))                       // adaptive, equal 766
+	f.Add(uint64(0x0000_3ff8_0000_0000|1<<46|166<<47|1<<55), uint64(13), uint8(8)) // adaptive + flush, equal 499
+	f.Add(uint64(0x5|1<<46|100<<47|17<<56), uint64(14), uint8(5))                  // width 1, adapt 301, sample 86
+	f.Add(uint64(0x30|33<<47|63<<56), uint64(15), uint8(2))                        // static, width 7, sampled 316
 
 	f.Fuzz(func(t *testing.T, bits, seed uint64, profileIdx uint8) {
 		cfg := fuzzConfig(bits)
@@ -108,15 +142,28 @@ func FuzzStepModeEquivalence(f *testing.F) {
 
 		const insts = 6_000
 		cfg.MaxInsts = insts
-		runMode := func(mode StepMode, arena *Arena) (Result, error) {
+		type run struct {
+			res     Result
+			err     error
+			windows []obs.WindowRecord
+			digests []AdaptWindow
+		}
+		runMode := func(mode StepMode, arena *Arena) run {
 			c := cfg
 			c.StepMode = mode
 			c.Arena = arena
+			rec := &recordingChooser{inner: &fuzzChooser{}}
+			if c.Policy == Adaptive {
+				c.Chooser = rec
+			}
+			series := obs.NewWindowSeries()
+			c.Probe = series
 			rd := trace.NewLimitReader(bench.NewWalker(seed), insts+insts/4)
-			return Run(c, bench.Image(), rd, bpred.NewDefaultDecoupled())
+			res, err := Run(c, bench.Image(), rd, bpred.NewDefaultDecoupled())
+			return run{res, err, series.Records(), rec.windows}
 		}
-		ref, refErr := runMode(StepReference, nil)
-		fast, fastErr := runMode(StepSkipAhead, NewArena())
+		r, f := runMode(StepReference, nil), runMode(StepSkipAhead, NewArena())
+		ref, refErr, fast, fastErr := r.res, r.err, f.res, f.err
 		switch {
 		case (refErr == nil) != (fastErr == nil):
 			t.Fatalf("error mismatch: reference %v, skipahead %v\ncfg: %+v", refErr, fastErr, cfg)
@@ -127,6 +174,10 @@ func FuzzStepModeEquivalence(f *testing.F) {
 		case !reflect.DeepEqual(ref, fast):
 			t.Fatalf("Results differ (profile %s, seed %d)\ncfg: %+v\nreference: %+v\nskipahead: %+v",
 				bench.Profile().Name, seed, cfg, ref, fast)
+		case !reflect.DeepEqual(r.windows, f.windows):
+			t.Fatalf("window records differ (profile %s, seed %d)\ncfg: %+v", bench.Profile().Name, seed, cfg)
+		case !reflect.DeepEqual(r.digests, f.digests):
+			t.Fatalf("chooser inputs differ (profile %s, seed %d)\ncfg: %+v", bench.Profile().Name, seed, cfg)
 		}
 	})
 }

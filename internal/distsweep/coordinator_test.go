@@ -316,6 +316,59 @@ func TestCoordinatorPermanentError(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRunnerPanic: a job whose Runner panics is a permanent job
+// error, not a worker fault. The worker answers one 422 and stays alive;
+// the coordinator burns no retries and evicts nobody, and the local runner
+// decides the sweep's outcome.
+func TestCoordinatorRunnerPanic(t *testing.T) {
+	inner := NewServer(ServerOptions{Runner: func(JobSpec) (JobResult, error) {
+		panic("engine invariant broken")
+	}}).Handler()
+	var status422, requests atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		if r.URL.Path == "/v1/run" {
+			requests.Add(1)
+			if rec.Code == http.StatusUnprocessableEntity {
+				status422.Add(1)
+			}
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(srv.Close)
+
+	reg := obs.NewRegistry()
+	opt := fastOptions(srv.URL)
+	opt.Metrics = reg
+	c := New(opt)
+
+	var localCalls atomic.Int64
+	got, err := c.Run(testJobs(2), localRunner(&localCalls), nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !reflect.DeepEqual(got, wantResults(testJobs(2))) {
+		t.Error("results differ after the local runner took over the panicking batch")
+	}
+	if n := status422.Load(); n != 1 || requests.Load() != 1 {
+		t.Errorf("worker answered %d of %d batch requests with 422, want exactly 1 of 1", n, requests.Load())
+	}
+	if localCalls.Load() == 0 {
+		t.Error("local runner never consulted for the panicking batch")
+	}
+	if v := reg.Counter("specfetch_dispatch_retries_total", "").Value(); v != 0 {
+		t.Errorf("runner panic burned %d retries", v)
+	}
+	if v := reg.Counter("specfetch_dispatch_evictions_total", "").Value(); v != 0 || len(c.Alive()) != 1 {
+		t.Errorf("runner panic evicted the worker: evictions=%d alive=%v", v, c.Alive())
+	}
+}
+
 // TestCoordinatorVersionMismatch: a worker speaking a different wire
 // version is rejected up front by its own 400, and the sweep still
 // completes through local fallback.

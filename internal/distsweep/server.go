@@ -173,9 +173,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// runJob invokes the Runner, converting a sampled-audit stream-violation
-// panic (*obs.AuditError) into an error so one poisoned job cannot take
-// down the daemon.
+// runJob invokes the Runner, converting any panic into an error so one
+// poisoned job cannot take down the daemon. A panicking job is as
+// deterministic as a failing one, so it takes the same permanent (422)
+// path: retrying it elsewhere would only poison every worker in turn. A
+// sampled-audit stream violation (*obs.AuditError) passes through as
+// itself.
 func (s *Server) runJob(job JobSpec) (res JobResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -183,7 +186,7 @@ func (s *Server) runJob(job JobSpec) (res JobResult, err error) {
 				err = aerr
 				return
 			}
-			panic(r)
+			err = fmt.Errorf("runner panic: %v", r)
 		}
 	}()
 	return s.opt.Runner(job)

@@ -133,10 +133,6 @@ func (opt Options) observe(bench string, pol core.Policy, res core.Result) {
 	}
 }
 
-// DefaultOptions runs all benchmarks at a budget that gives stable numbers
-// in a few seconds per table.
-func DefaultOptions() Options { return Options{Insts: 2_000_000} }
-
 // QuickOptions is used by tests: fewer instructions, representative subset.
 func QuickOptions() Options {
 	return Options{Insts: 300_000, Benchmarks: []string{"doduc", "gcc", "groff"}}
@@ -179,26 +175,6 @@ func buildAll(opt Options) ([]*synth.Bench, error) {
 	return mapCells(opt, len(profs), func(_, i int) (*synth.Bench, error) {
 		return synth.Build(profs[i])
 	})
-}
-
-// runPolicies simulates every listed policy over the benchmark under cfg
-// (fresh cache and predictor per run, same trace stream).
-func runPolicies(b *synth.Bench, cfg core.Config, opt Options, policies []core.Policy) (map[core.Policy]core.Result, error) {
-	cells := make([]runCell, len(policies))
-	for i, pol := range policies {
-		c := cfg
-		c.Policy = pol
-		cells[i] = newCell(b, c)
-	}
-	results, err := runCells(opt, cells)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[core.Policy]core.Result, len(policies))
-	for i, pol := range policies {
-		out[pol] = results[i]
-	}
-	return out, nil
 }
 
 // mean computes the arithmetic mean the paper's "Average" rows use.

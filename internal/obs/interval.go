@@ -10,8 +10,8 @@ import (
 	"specfetch/internal/metrics"
 )
 
-// SeriesPoint is one interval sample of a run's time series. Rate fields
-// describe the interval since the previous sample; CumISPI is cumulative
+// SeriesPoint is one row of the -series export: one Window rendered as
+// rates. Rate fields describe the window; CumISPI is cumulative
 // since run start, so the last point's CumISPI equals the run's final
 // Result.TotalISPI exactly.
 type SeriesPoint struct {
@@ -36,75 +36,53 @@ type SeriesPoint struct {
 	BusOccupancyPct float64 `json:"bus_occupancy_pct"`
 }
 
-// IntervalSampler collects a SeriesPoint per engine sample. It is a
-// sample-only probe: every input it needs — including bus occupancy —
-// arrives in the Snapshot, so attaching it via Config.Probe (with a
-// positive Config.SampleInterval) keeps the skip-ahead bulk issue path
-// enabled.
+// IntervalSampler renders a WindowSeries as a SeriesPoint time series (the
+// -series export). It is a sample-only probe: every input it needs —
+// including bus occupancy — arrives in the Snapshot, so attaching it via
+// Config.Probe (with a positive Config.SampleInterval) keeps the skip-ahead
+// bulk issue path enabled.
 type IntervalSampler struct {
-	NopProbe
-
-	points []SeriesPoint
-
-	// base holds the counters at the start of the interval the next point
-	// will cover; prevBase is the base of the last closed interval, kept so
-	// a run-end sample that adds no instructions (only trailing stall
-	// cycles) can be merged into the last point instead of dropped.
-	base     Snapshot
-	prevBase Snapshot
+	WindowSeries
 }
 
 // NewIntervalSampler builds an empty sampler.
 func NewIntervalSampler() *IntervalSampler { return &IntervalSampler{} }
 
-// SampleOnlyProbe marks the sampler as observing via Sample alone.
-func (s *IntervalSampler) SampleOnlyProbe() {}
-
-// Sample appends one interval point covering [previous sample, snap]. A
-// snapshot that adds no instructions but does advance other counters (the
-// run-end sample after the last issue, possibly cut short inside a bulk
-// region by the instruction budget) is folded into the last point by
-// rebuilding it from prevBase, so the final point's cumulative values
-// always match the run's Result and nothing is dropped or double-counted.
-func (s *IntervalSampler) Sample(snap Snapshot) {
-	if snap.Insts > s.base.Insts {
-		s.points = append(s.points, s.point(s.base, snap))
-		s.prevBase = s.base
-		s.base = snap
-		return
+// Points returns the series, oldest first. Each point covers one window;
+// CumISPI comes from a running sum of the windows' lost slots, which tile
+// the run from its start.
+func (s *IntervalSampler) Points() []SeriesPoint {
+	if len(s.windows) == 0 {
+		return nil
 	}
-	if len(s.points) > 0 && snap != s.base {
-		s.points[len(s.points)-1] = s.point(s.prevBase, snap)
-		s.base = snap
+	pts := make([]SeriesPoint, len(s.windows))
+	var cum metrics.Breakdown
+	for i, w := range s.windows {
+		cum.AddAll(w.Lost)
+		pts[i] = point(w, cum)
 	}
+	return pts
 }
 
-// point builds the series point for the interval from..snap.
-func (s *IntervalSampler) point(from, snap Snapshot) SeriesPoint {
-	dInsts := snap.Insts - from.Insts
-	dCycles := snap.Cycle - from.Cycle
-
-	p := SeriesPoint{Insts: snap.Insts, Cycle: snap.Cycle.Int64()}
-	var lost metrics.Slots
-	for i := range p.CompISPI {
-		d := snap.Lost[i] - from.Lost[i]
-		lost += d
-		p.CompISPI[i] = float64(d) / float64(dInsts)
+// point renders one window as a series point; cum is the cumulative lost
+// breakdown through the window's end.
+func point(w Window, cum metrics.Breakdown) SeriesPoint {
+	n := w.Insts()
+	p := SeriesPoint{Insts: w.EndInsts, Cycle: w.EndCycle.Int64()}
+	for i, l := range w.Lost {
+		p.CompISPI[i] = float64(l) / float64(n)
 	}
-	p.ISPI = float64(lost) / float64(dInsts)
-	p.CumISPI = snap.Lost.TotalISPI(snap.Insts)
-	if dCycles > 0 {
-		p.IPC = float64(dInsts) / float64(dCycles)
-		p.BusOccupancyPct = 100 * float64(snap.BusBusy-from.BusBusy) / float64(dCycles)
+	p.ISPI = w.LostPerInst()
+	p.CumISPI = cum.TotalISPI(w.EndInsts)
+	if dCycles := w.EndCycle - w.StartCycle; dCycles > 0 {
+		p.IPC = float64(n) / float64(dCycles)
+		p.BusOccupancyPct = 100 * float64(w.BusBusy) / float64(dCycles)
 	}
-	if dAcc := snap.RightPathAccesses - from.RightPathAccesses; dAcc > 0 {
-		p.MissPct = 100 * float64(snap.RightPathMisses-from.RightPathMisses) / float64(dAcc)
+	if w.Accesses > 0 {
+		p.MissPct = 100 * float64(w.Misses) / float64(w.Accesses)
 	}
 	return p
 }
-
-// Points returns the collected series, oldest first.
-func (s *IntervalSampler) Points() []SeriesPoint { return s.points }
 
 // WriteCSV writes the series with a header row; component columns follow
 // the paper's stacking order, prefixed "ispi_".
@@ -120,7 +98,7 @@ func (s *IntervalSampler) WriteCSV(w io.Writer) error {
 		return err
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, p := range s.points {
+	for _, p := range s.Points() {
 		fmt.Fprintf(bw, "%d,%d,%s,%s,%s", p.Insts, p.Cycle, f(p.IPC), f(p.ISPI), f(p.CumISPI))
 		for _, v := range p.CompISPI {
 			fmt.Fprintf(bw, ",%s", f(v))
@@ -133,7 +111,7 @@ func (s *IntervalSampler) WriteCSV(w io.Writer) error {
 // WriteJSON writes the series as a JSON array of points.
 func (s *IntervalSampler) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	pts := s.points
+	pts := s.Points()
 	if pts == nil {
 		pts = []SeriesPoint{}
 	}

@@ -4,12 +4,60 @@ import (
 	"specfetch/internal/metrics"
 )
 
-// WindowRecord is one fixed-instruction-count window of a run, the unit the
-// interval-analytics layer aligns across policies. It is a wire/export type:
-// every quantity is a raw int64 (unit conversions happen once, at Records),
-// so the JSON encoding is stable and language-neutral. Start values are the
-// cumulative counters at the window's opening edge, so consecutive records
-// tile the run: record i+1's StartInsts equals record i's EndInsts.
+// Window is one closed instruction-count window of a run in the typed
+// Cycles/Slots domain: the difference of two cumulative Snapshots. It is the
+// one per-window digest of the window plane. WindowSeries stores it and
+// converts it to WindowRecords at the wire boundary, IntervalSampler renders
+// it as SeriesPoints, and the Adaptive chooser's core.AdaptWindow embeds it.
+type Window struct {
+	// StartInsts/EndInsts bound the window in cumulative correct-path
+	// instructions.
+	StartInsts, EndInsts int64
+	// StartCycle/EndCycle bound the window on the simulated clock.
+	StartCycle, EndCycle metrics.Cycles
+	// Lost is the window's lost-slot breakdown, in the paper's stacking
+	// order (metrics.Components()).
+	Lost metrics.Breakdown
+	// Accesses/Misses count the window's structural right-path line
+	// references and their misses.
+	Accesses, Misses int64
+	// BusTransfers counts line movements over the memory bus in the window;
+	// BusBusy is the cycles the bus spent transferring.
+	BusTransfers uint64
+	BusBusy      metrics.Cycles
+}
+
+// Between differences two cumulative snapshots into the window from..to.
+func Between(from, to Snapshot) Window {
+	w := Window{
+		StartInsts:   from.Insts,
+		EndInsts:     to.Insts,
+		StartCycle:   from.Cycle,
+		EndCycle:     to.Cycle,
+		Accesses:     to.RightPathAccesses - from.RightPathAccesses,
+		Misses:       to.RightPathMisses - from.RightPathMisses,
+		BusTransfers: to.BusTransfers - from.BusTransfers,
+		BusBusy:      to.BusBusy - from.BusBusy,
+	}
+	for i := range w.Lost {
+		w.Lost[i] = to.Lost[i] - from.Lost[i]
+	}
+	return w
+}
+
+// Insts returns the number of instructions issued in the window.
+func (w Window) Insts() int64 { return w.EndInsts - w.StartInsts }
+
+// LostPerInst returns the window's issue slots lost per instruction — the
+// per-window ISPI.
+func (w Window) LostPerInst() float64 { return w.Lost.TotalISPI(w.Insts()) }
+
+// WindowRecord is the wire/export form of a Window, the unit the
+// interval-analytics layer aligns across policies. Every quantity is a raw
+// int64 (unit conversions happen once, at Records), so the JSON encoding is
+// stable and language-neutral. Start values are the cumulative counters at
+// the window's opening edge, so consecutive records tile the run: record
+// i+1's StartInsts equals record i's EndInsts.
 type WindowRecord struct {
 	// Index is the window's position in the series, from 0.
 	Index int `json:"index"`
@@ -83,17 +131,15 @@ func (r WindowRecord) BusOccupancyPct() float64 {
 	return 0
 }
 
-// WindowSeries captures one WindowRecord per engine sample interval. Like
-// IntervalSampler it is a sample-only probe: attach it via Config.Probe with
-// a positive Config.SampleInterval and the engine's skip-ahead bulk path
-// stays enabled, emitting interpolated snapshots at window boundaries that
-// fall inside a bulk delta. The accumulators stay in the typed Cycles/Slots
-// domain (Snapshot fields); the raw int64 crossing happens once, in
-// Records.
+// WindowSeries captures one Window per engine sample interval. It is a
+// sample-only probe: attach it via Config.Probe with a positive
+// Config.SampleInterval and the engine's skip-ahead bulk path stays enabled,
+// emitting interpolated snapshots at window boundaries that fall inside a
+// bulk delta.
 type WindowSeries struct {
 	NopProbe
 
-	windows []windowAcc
+	windows []Window
 
 	// base holds the counters at the open edge of the window under
 	// construction; prevBase the open edge of the last closed window, so a
@@ -104,19 +150,6 @@ type WindowSeries struct {
 	prevBase Snapshot
 }
 
-// windowAcc is one closed window in the typed domain.
-type windowAcc struct {
-	startInsts int64
-	endInsts   int64
-	startCy    metrics.Cycles
-	endCy      metrics.Cycles
-	lost       metrics.Breakdown
-	accesses   int64
-	misses     int64
-	transfers  uint64
-	busBusy    metrics.Cycles
-}
-
 // NewWindowSeries builds an empty window store.
 func NewWindowSeries() *WindowSeries { return &WindowSeries{} }
 
@@ -125,36 +158,20 @@ func (s *WindowSeries) SampleOnlyProbe() {}
 
 // Sample closes one window at snap, or — for a snapshot that adds no
 // instructions but does advance other counters — re-closes the last window
-// on the new edge (see the base/prevBase comment).
+// on the new edge (see the base/prevBase comment), so the windows always
+// tile the run up to the latest snapshot and nothing is dropped or
+// double-counted.
 func (s *WindowSeries) Sample(snap Snapshot) {
 	if snap.Insts > s.base.Insts {
-		s.windows = append(s.windows, window(s.base, snap))
+		s.windows = append(s.windows, Between(s.base, snap))
 		s.prevBase = s.base
 		s.base = snap
 		return
 	}
 	if len(s.windows) > 0 && snap != s.base {
-		s.windows[len(s.windows)-1] = window(s.prevBase, snap)
+		s.windows[len(s.windows)-1] = Between(s.prevBase, snap)
 		s.base = snap
 	}
-}
-
-// window differences two cumulative snapshots into one closed window.
-func window(from, snap Snapshot) windowAcc {
-	w := windowAcc{
-		startInsts: from.Insts,
-		endInsts:   snap.Insts,
-		startCy:    from.Cycle,
-		endCy:      snap.Cycle,
-		accesses:   snap.RightPathAccesses - from.RightPathAccesses,
-		misses:     snap.RightPathMisses - from.RightPathMisses,
-		transfers:  snap.BusTransfers - from.BusTransfers,
-		busBusy:    snap.BusBusy - from.BusBusy,
-	}
-	for i := range w.lost {
-		w.lost[i] = snap.Lost[i] - from.Lost[i]
-	}
-	return w
 }
 
 // Len returns the number of closed windows.
@@ -170,16 +187,16 @@ func (s *WindowSeries) Records() []WindowRecord {
 	for i, w := range s.windows {
 		r := WindowRecord{
 			Index:        i,
-			StartInsts:   w.startInsts,
-			EndInsts:     w.endInsts,
-			StartCycle:   w.startCy.Int64(),
-			EndCycle:     w.endCy.Int64(),
-			Accesses:     w.accesses,
-			Misses:       w.misses,
-			BusTransfers: int64(w.transfers),
-			BusBusy:      w.busBusy.Int64(),
+			StartInsts:   w.StartInsts,
+			EndInsts:     w.EndInsts,
+			StartCycle:   w.StartCycle.Int64(),
+			EndCycle:     w.EndCycle.Int64(),
+			Accesses:     w.Accesses,
+			Misses:       w.Misses,
+			BusTransfers: int64(w.BusTransfers),
+			BusBusy:      w.BusBusy.Int64(),
 		}
-		for c, l := range w.lost {
+		for c, l := range w.Lost {
 			r.Lost[c] = l.Int64()
 		}
 		out[i] = r
