@@ -219,7 +219,8 @@ func BenchmarkPolicies(b *testing.B) {
 
 // BenchmarkTraceGeneration measures the synthetic walker's speed.
 func BenchmarkTraceGeneration(b *testing.B) {
-	bench, err := specfetch.BuildBenchmark(specfetch.Cfront())
+	prof, _ := specfetch.ProfileByName("cfront")
+	bench, err := specfetch.BuildBenchmark(prof)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,7 +17,7 @@
 // completed have been printed.
 //
 // Every run also traces host-side spans (one per simulation cell or
-// ablation row) and prints a per-builder summary — wall time, cells/sec,
+// per-benchmark row) and prints a per-builder summary — wall time, cells/sec,
 // p50/p95/p99 cell latency, allocations — to stderr. -bench-out writes the
 // same aggregates as machine-readable BENCH JSON for cmd/perfdiff;
 // -host-trace dumps the raw spans as a Chrome trace (workers x cells).
@@ -50,11 +50,13 @@ import (
 	"os/signal"
 	"runtime"
 	runtimepprof "runtime/pprof"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"specfetch/internal/benchfmt"
+	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/experiments"
 	"specfetch/internal/hosttime"
@@ -67,7 +69,7 @@ func main() {
 	var (
 		table    = flag.Int("table", 0, "regenerate table N (2-7)")
 		figure   = flag.Int("figure", 0, "regenerate figure N (1-4)")
-		ablation = flag.String("ablation", "", "run an ablation: prefetch|btb|assoc|width|pipelined-mem|ras|victim|mshr|layout")
+		ablation = flag.String("ablation", "", "run an ablation: "+strings.Join(ablationNames(), "|"))
 		seeds    = flag.Int("sensitivity", 0, "run the seed-sensitivity analysis over N dynamic streams")
 		sweep    = flag.Bool("sweep", false, "run the miss-latency sweep with crossover detection")
 		modern   = flag.Bool("modern", false, "run the datacenter-footprint study (web/db/search)")
@@ -185,7 +187,7 @@ func main() {
 		opt.CaptureWindows = true
 	}
 	if *stepMode != "" {
-		mode, err := experiments.ParseStepMode(*stepMode)
+		mode, err := core.ParseStepMode(*stepMode)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paperbench: %v\n", err)
 			exit(2)
@@ -218,15 +220,13 @@ func main() {
 		sweepLogger = sweeplog.New(sweeplog.Options{W: logW})
 	}
 	if *remoteWk != "" {
-		opt.Remote = strings.Split(*remoteWk, ",")
 		// One coordinator for the whole campaign, so retry/eviction state
 		// spans builders: a worker evicted during table 2 stays evicted for
 		// figure 4.
 		coord = distsweep.New(distsweep.CoordinatorOptions{
-			Workers: opt.Remote, Metrics: reg, Spans: spans, Log: sweepLogger,
+			Workers: strings.Split(*remoteWk, ","), Metrics: reg, Spans: spans, Log: sweepLogger,
 		})
 		opt.Dispatch = coord
-		opt.SweepLog = sweepLogger
 	}
 
 	if !*all && *table == 0 && *figure == 0 && *ablation == "" && *seeds == 0 && !*sweep && !*modern && !*oracle && !*adaptive {
@@ -452,7 +452,7 @@ func main() {
 		if err != nil {
 			run(fmt.Errorf("host-trace: %v", err))
 		}
-		if err := obs.WriteCombinedTrace(f, nil, spans.Spans(), coord.FleetSpans()...); err != nil {
+		if err := (obs.CombinedTrace{Spans: spans.Spans(), Fleet: coord.FleetSpans()}).Write(f); err != nil {
 			run(fmt.Errorf("host-trace: %v", err))
 		}
 		if err := f.Close(); err != nil {
@@ -461,4 +461,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paperbench: wrote host trace to %s\n", *hostTr)
 	}
 	stopProfiles()
+}
+
+// ablationNames lists the registered ablations in sorted order, for the
+// -ablation flag help.
+func ablationNames() []string {
+	var names []string
+	for name := range experiments.Ablations() {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

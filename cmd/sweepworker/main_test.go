@@ -121,9 +121,8 @@ func TestCrossProcessBytesIdentical(t *testing.T) {
 	u1, _ := spawnWorker(t)
 	u2, _ := spawnWorker(t)
 	remote := diffBase
-	remote.Remote = []string{u1, u2}
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   []string{u1, u2},
 		BatchSize: 3,
 	})
 	if got := renderSweep(t, remote); got != want {
@@ -163,9 +162,8 @@ func TestCrossProcessKillWorkerMidSweep(t *testing.T) {
 	}()
 
 	remote := diffBase
-	remote.Remote = []string{u1, u2}
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:     remote.Remote,
+		Workers:     []string{u1, u2},
 		BatchSize:   2,
 		Retries:     4,
 		BackoffBase: 5 * time.Millisecond,
@@ -182,10 +180,10 @@ func TestCrossProcessKillWorkerMidSweep(t *testing.T) {
 }
 
 // TestTelemetryNeutralDifferential is the fleet-telemetry headline proof:
-// Table 6 + Figure 1 render byte-identically with the full telemetry stack
-// (metrics registry, span tracer, sweep decision log) enabled vs. disabled,
-// at Workers 1 and 4 in-process and against a real spawned worker process.
-// Run under -race in CI.
+// Table 6 + Figure 1 render byte-identically with the telemetry stack
+// enabled vs. disabled: metrics registry and span tracer at Workers 1 and 4
+// in-process, plus the sweep decision log against a real spawned worker
+// process. Run under -race in CI.
 func TestTelemetryNeutralDifferential(t *testing.T) {
 	plain := diffBase
 	plain.Workers = 1
@@ -196,7 +194,6 @@ func TestTelemetryNeutralDifferential(t *testing.T) {
 		loud.Workers = workers
 		loud.Metrics = obs.NewRegistry()
 		loud.Spans = obs.NewSpanTracer()
-		loud.SweepLog = sweeplog.New(sweeplog.Options{})
 		if got := renderSweep(t, loud); got != want {
 			t.Errorf("Workers=%d sweep bytes change with telemetry enabled", workers)
 		}
@@ -207,11 +204,10 @@ func TestTelemetryNeutralDifferential(t *testing.T) {
 
 	u1, _ := spawnWorker(t)
 	remote := diffBase
-	remote.Remote = []string{u1}
 	log := sweeplog.New(sweeplog.Options{})
 	spans := obs.NewSpanTracer()
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   []string{u1},
 		BatchSize: 3,
 		Metrics:   obs.NewRegistry(),
 		Spans:     spans,
@@ -249,9 +245,8 @@ func TestFleetTracePerProcessTracks(t *testing.T) {
 
 	spans := obs.NewSpanTracer()
 	remote := diffBase
-	remote.Remote = []string{u1, u2}
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   []string{u1, u2},
 		BatchSize: 2,
 		Spans:     spans,
 	})
@@ -277,8 +272,8 @@ func TestFleetTracePerProcessTracks(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := obs.WriteCombinedTrace(&buf, nil, spans.Spans(), fleet...); err != nil {
-		t.Fatalf("WriteCombinedTrace: %v", err)
+	if err := (obs.CombinedTrace{Spans: spans.Spans(), Fleet: fleet}).Write(&buf); err != nil {
+		t.Fatalf("CombinedTrace.Write: %v", err)
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`

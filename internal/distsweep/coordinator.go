@@ -91,8 +91,7 @@ var campaignSeq atomic.Int64
 
 // Coordinator fans batches out to workers and reassembles results in
 // work-list order. It is safe for concurrent use: every Run carries its
-// own queue state, so overlapping sweeps (the ablation rows dispatch
-// their dependent cells concurrently) just interleave batches on the
+// own queue state, so overlapping sweeps just interleave batches on the
 // fleet. Eviction state persists across sweeps, so a dead worker is not
 // re-probed by every table builder.
 type Coordinator struct {
@@ -580,7 +579,7 @@ func (c *Coordinator) recordFleetSpans(url string, br *BatchResult, t0 hosttime.
 
 // FleetSpans returns the re-anchored span timings of every remote worker
 // process that completed a batch, one ProcessSpans per (URL, pid), sorted
-// by URL then pid. Pass them to obs.WriteCombinedTrace to render the whole
+// by URL then pid. Pass them as obs.CombinedTrace.Fleet to render the whole
 // fleet — local pool, every remote worker, and the scheduling gaps between
 // them — in one Perfetto file.
 func (c *Coordinator) FleetSpans() []obs.ProcessSpans {

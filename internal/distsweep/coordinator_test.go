@@ -594,8 +594,8 @@ func TestCoordinatorFleetSpans(t *testing.T) {
 
 	// The combined trace renders each fleet process as its own pid track.
 	var buf bytes.Buffer
-	if err := obs.WriteCombinedTrace(&buf, nil, spans.Spans(), fleet...); err != nil {
-		t.Fatalf("WriteCombinedTrace: %v", err)
+	if err := (obs.CombinedTrace{Spans: spans.Spans(), Fleet: fleet}).Write(&buf); err != nil {
+		t.Fatalf("CombinedTrace.Write: %v", err)
 	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`

@@ -9,7 +9,6 @@ import (
 	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
-	"specfetch/internal/sweeplog"
 	"specfetch/internal/synth"
 )
 
@@ -37,30 +36,19 @@ type Options struct {
 	// when Spans is also set, the specfetch_cell_seconds latency histogram.
 	Metrics *obs.Registry
 	// Spans, if non-nil, records one host-side span per sweep work unit
-	// (simulation cell or ablation row): wall time, pool worker, and heap
-	// allocations. Tracing is observe-only — rendered sweep bytes are
+	// (simulation cell or per-benchmark row): wall time, pool worker, and
+	// heap allocations. Tracing is observe-only — rendered sweep bytes are
 	// byte-identical with it on or off (asserted by the differential
 	// harness in shard_test.go).
 	Spans *obs.SpanTracer
-	// SweepLog, if non-nil, receives the structured scheduling decisions of
-	// Remote dispatch (retries, backoffs, evictions, local fallbacks). Like
-	// Spans, it is observe-only and never touches rendered bytes. It only
-	// takes effect when this Options builds the coordinator (Dispatch nil);
-	// an explicit Dispatch carries its own logger.
-	SweepLog *sweeplog.Logger
-	// Remote lists sweepworker base URLs ("http://host:8477"). When
-	// non-empty, every serializable sweep cell is dispatched to these
-	// workers in batches over the distsweep protocol instead of running on
-	// the in-process pool; cells that carry in-process-only state (probes,
-	// access callbacks), and any batch the fleet cannot complete, fall
-	// back to the local executor. Reduction order is unchanged, so
-	// rendered bytes are invariant in process count exactly as they are in
-	// worker count.
-	Remote []string
-	// Dispatch, when non-nil, is the coordinator used for Remote dispatch,
-	// letting one coordinator's retry/backoff/eviction state span many
-	// builders. Nil with Remote set uses a process-wide coordinator shared
-	// by every Options naming the same worker list.
+	// Dispatch, when non-nil, is the distsweep coordinator every
+	// serializable sweep work-list is sent to, in batches, instead of the
+	// in-process pool; one coordinator's retry/backoff/eviction state (and
+	// its decision log) spans every builder it is handed to. Cells that
+	// carry in-process-only state (probes, access callbacks, relaid-out
+	// benches), and any batch the fleet cannot complete, run on the local
+	// executor. Reduction order is unchanged, so rendered bytes are
+	// invariant in process count exactly as they are in worker count.
 	Dispatch *distsweep.Coordinator
 	// SampleInterval, when positive, stamps Config.SampleInterval onto every
 	// cell so attached samplers (and CaptureWindows) see fixed
@@ -105,10 +93,6 @@ var envStepMode = sync.OnceValue(func() core.StepMode {
 	}
 	return m
 })
-
-// ParseStepMode re-exports core.ParseStepMode so command-line layers that
-// already depend on experiments need no direct core import for the flag.
-func ParseStepMode(s string) (core.StepMode, error) { return core.ParseStepMode(s) }
 
 // stepMode resolves the effective engine mode for this Options.
 func (opt Options) stepMode() core.StepMode {
@@ -188,6 +172,3 @@ func mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// buildAllFromProfile generates one benchmark (test helper).
-func buildAllFromProfile(p synth.Profile) (*synth.Bench, error) { return synth.Build(p) }

@@ -6,6 +6,7 @@ import (
 
 	"specfetch/internal/core"
 	"specfetch/internal/metrics"
+	"specfetch/internal/synth"
 )
 
 // quick gives every experiment a fast test configuration.
@@ -233,7 +234,7 @@ func TestLongLatencyShape(t *testing.T) {
 
 func TestCharacterize(t *testing.T) {
 	profs, _ := selected(Options{Benchmarks: []string{"li"}})
-	b, err := buildAllFromProfile(profs[0])
+	b, err := synth.Build(profs[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"sync"
 
 	"specfetch/internal/distsweep"
@@ -12,48 +11,18 @@ import (
 // The coordinator half of distributed sweeps. Cells convert to wire
 // JobSpecs, runCells dispatches whole work-lists in batches, and the
 // worker side (JobRunner, used by cmd/sweepworker) runs specs through the
-// identical simulateLocal path, so a remote sweep computes cell-for-cell
+// identical simulateCell path, so a remote sweep computes cell-for-cell
 // the same results — and therefore renders the same bytes — as an
 // in-process one.
 
-// Process-wide coordinators, keyed by the worker list, so that every
-// builder in a campaign shares one fleet's retry/backoff/eviction state
-// instead of re-probing dead workers per table.
-var (
-	coordMu sync.Mutex
-	coords  = map[string]*distsweep.Coordinator{}
-)
-
-// coordinator resolves the dispatch side for these options: the explicit
-// Dispatch if set, the shared per-fleet coordinator when Remote is set,
-// nil for plain in-process runs.
-func (opt Options) coordinator() *distsweep.Coordinator {
-	if opt.Dispatch != nil {
-		return opt.Dispatch
-	}
-	if len(opt.Remote) == 0 {
-		return nil
-	}
-	key := strings.Join(opt.Remote, "\x00")
-	coordMu.Lock()
-	defer coordMu.Unlock()
-	if c, ok := coords[key]; ok {
-		return c
-	}
-	c := distsweep.New(distsweep.CoordinatorOptions{
-		Workers: opt.Remote,
-		Metrics: opt.Metrics,
-		Spans:   opt.Spans,
-		Log:     opt.SweepLog,
-	})
-	coords[key] = c
-	return c
-}
-
 // specForCell converts one cell to its wire form. ok is false when the
-// cell carries in-process-only state (a probe or access callback) and
-// must run locally.
+// cell carries in-process-only state and must run locally: a probe or
+// access callback, or a bench a worker cannot rebuild from its profile (a
+// relaid-out layout).
 func specForCell(opt Options, c runCell) (distsweep.JobSpec, bool) {
+	if !c.bench.FromProfile() {
+		return distsweep.JobSpec{}, false
+	}
 	cfg := c.cfg
 	// Resolve the engine mode here so a pinned sweep stays pinned across
 	// the wire: the worker runs whatever mode the coordinator resolved, not
@@ -110,7 +79,7 @@ func runCellsRemote(opt Options, coord *distsweep.Coordinator, cells []runCell) 
 		return out, nil
 	}
 	// Remotely-completed cells stream progress as their batches verify;
-	// locally-run cells already report inside simulateLocal.
+	// locally-run cells already report inside simulateCell.
 	onRemote := func(offset int, res []distsweep.JobResult) {
 		for i, r := range res {
 			c := cells[offset+i]
@@ -130,7 +99,7 @@ func runCellsRemote(opt Options, coord *distsweep.Coordinator, cells []runCell) 
 
 // JobRunner is the worker-side distsweep.Runner: it rebuilds the bench
 // from the spec's profile (memoized — a sweep sends the same profile once
-// per cell) and runs the cell through simulateLocal, the same code path
+// per cell) and runs the cell through simulateCell, the same code path
 // the in-process executor uses, with the spec's sampled audit attached.
 type JobRunner struct {
 	// Metrics, when non-nil, accumulates the worker's campaign counters
@@ -188,7 +157,7 @@ func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
 		// interval is already inside the wire config).
 		CaptureWindows: spec.CaptureWindows,
 	}
-	res, wins, err := simulateLocalFull(cell, opt)
+	res, wins, err := simulateCell(cell, opt, nil, nil)
 	if err != nil {
 		return distsweep.JobResult{}, err
 	}

@@ -8,6 +8,7 @@ import (
 	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
+	"specfetch/internal/synth"
 )
 
 // startWorkers stands up n in-process protocol servers, each with its own
@@ -35,9 +36,8 @@ func TestRemoteSweepBytesIdentical(t *testing.T) {
 	want := renderAll(t, serial)
 
 	remote := base
-	remote.Remote = startWorkers(t, 2)
 	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   startWorkers(t, 2),
 		BatchSize: 4,
 	})
 	if got := renderAll(t, remote); got != want {
@@ -47,7 +47,7 @@ func TestRemoteSweepBytesIdentical(t *testing.T) {
 	audited := remote
 	audited.AuditSample = 4
 	audited.Dispatch = distsweep.New(distsweep.CoordinatorOptions{
-		Workers:   remote.Remote,
+		Workers:   startWorkers(t, 2),
 		BatchSize: 4,
 	})
 	if got := renderAll(t, audited); got != want {
@@ -55,43 +55,48 @@ func TestRemoteSweepBytesIdentical(t *testing.T) {
 	}
 }
 
-// TestRemoteAblationAndCharacterize: the row-granularity builders (which
-// call simulate per dependent cell) fan out through the coordinator too
-// and keep their bytes.
+// TestRemoteAblationAndCharacterize: every ablation and the
+// characterization table render the same bytes through a 2-worker fleet as
+// in-process — including the code-layout ablation, whose reordered
+// benchmarks a worker cannot rebuild from the profile and so must stay
+// in-process.
 func TestRemoteAblationAndCharacterize(t *testing.T) {
 	base := Options{Insts: 30_000, Benchmarks: []string{"gcc"}}
 	local := base
 	local.Workers = 1
-	tabL, err := AblationBTBCoupling(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tab2L, err := Table2(local)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	remote := base
-	remote.Remote = startWorkers(t, 2)
-	tabR, err := AblationBTBCoupling(remote)
+	remote.Dispatch = distsweep.New(distsweep.CoordinatorOptions{Workers: startWorkers(t, 2)})
+
+	for name, fn := range Ablations() {
+		tabL, err := fn(local)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		tabR, err := fn(remote)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tabR.String() != tabL.String() {
+			t.Errorf("%s: remote ablation renders differently from the local one\nremote:\n%s\nlocal:\n%s",
+				name, tabR, tabL)
+		}
+	}
+	tab3L, err := Table3(local)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab2R, err := Table2(remote)
+	tab3R, err := Table3(remote)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tabR.String() != tabL.String() {
-		t.Error("remote ablation renders differently from the local one")
-	}
-	if tab2R.String() != tab2L.String() {
+	if tab3R.String() != tab3L.String() {
 		t.Error("remote characterization table renders differently from the local one")
 	}
 }
 
 // TestRemoteFallsBackForInProcessState: a sweep whose cells carry a probe
 // cannot be serialized and must silently run in-process even with a fleet
-// configured — asserted by pointing Remote at a dead server and checking
+// configured — asserted by pointing Dispatch at a dead server and checking
 // the sweep still succeeds without dispatch attempts.
 func TestRemoteFallsBackForInProcessState(t *testing.T) {
 	dead := httptest.NewServer(nil)
@@ -101,7 +106,7 @@ func TestRemoteFallsBackForInProcessState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := buildAllFromProfile(profs[0])
+	b, err := synth.Build(profs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +136,11 @@ func TestRemoteFallsBackForInProcessState(t *testing.T) {
 // totals through Options.Metrics/Progress as local ones.
 func TestRemoteProgressAndMetrics(t *testing.T) {
 	opt := Options{Insts: 20_000, Benchmarks: []string{"gcc"}}
-	opt.Remote = startWorkers(t, 1)
 	reg := obs.NewRegistry()
 	opt.Metrics = reg
 	var lines atomic.Int64
 	opt.Progress = func(string) { lines.Add(1) }
-	opt.Dispatch = distsweep.New(distsweep.CoordinatorOptions{Workers: opt.Remote, Metrics: reg})
+	opt.Dispatch = distsweep.New(distsweep.CoordinatorOptions{Workers: startWorkers(t, 1), Metrics: reg})
 
 	if _, err := Table6(opt); err != nil {
 		t.Fatal(err)

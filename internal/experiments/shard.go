@@ -9,7 +9,6 @@ import (
 	"specfetch/internal/adaptive"
 	"specfetch/internal/bpred"
 	"specfetch/internal/core"
-	"specfetch/internal/distsweep"
 	"specfetch/internal/obs"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
@@ -136,10 +135,9 @@ func mapCells[T any](opt Options, n int, fn func(worker, i int) (T, error)) ([]T
 }
 
 // benchRows evaluates fn once per benchmark on the pool, preserving bench
-// order. Builders whose row needs several dependent simulations (the
-// ablations) shard at this granularity; fn runs its own cells serially.
-// Each row is wrapped in one host span ("<bench>/row") — the pool's unit of
-// work at this granularity.
+// order — for per-benchmark work that is not a simulation cell (trace
+// scans, miss classification, layout reorders). Each row is wrapped in one
+// host span ("<bench>/row").
 func benchRows[T any](opt Options, benches []*synth.Bench, fn func(b *synth.Bench) (T, error)) ([]T, error) {
 	return mapCells(opt, len(benches), func(w, i int) (T, error) {
 		sp := spanStart(opt, benches[i].Profile().Name+"/row", w)
@@ -175,7 +173,7 @@ type cellOut struct {
 }
 
 // runCells executes a work-list and returns results keyed by cell index.
-// With a remote fleet configured (Options.Remote/Dispatch) and every cell
+// With a remote fleet configured (Options.Dispatch) and every cell
 // serializable, the list is dispatched across processes; otherwise — and
 // for any batch the fleet cannot complete — it runs on the in-process
 // pool. Either way results land at their cell's index, so the caller's
@@ -195,7 +193,7 @@ func runCells(opt Options, cells []runCell) ([]core.Result, error) {
 // runCellsFull is runCells keeping each cell's window series alongside its
 // Result — the executor entry point for the interval-analytics builders.
 func runCellsFull(opt Options, cells []runCell) ([]cellOut, error) {
-	if coord := opt.coordinator(); coord != nil {
+	if coord := opt.Dispatch; coord != nil {
 		if res, ok, err := runCellsRemote(opt, coord, cells); ok {
 			return res, err
 		}
@@ -225,6 +223,7 @@ func runCellsLocal(opt Options, cells []runCell) ([]cellOut, error) {
 		var rd trace.Reader
 		if s := shared[cellTraceKey(cells[i], opt)]; s != nil {
 			rd = s.reader()
+			defer s.release()
 		}
 		res, wins, err := simulateCell(cells[i], opt, rd, arenas[w])
 		spanEnd(opt, sp)
@@ -252,60 +251,19 @@ func spanEnd(opt Options, sp obs.SpanHandle) {
 	}
 	if opt.Metrics != nil {
 		opt.Metrics.Histogram("specfetch_cell_seconds",
-			"Host wall time per sweep work unit (simulation cell or ablation row).").
+			"Host wall time per sweep work unit (simulation cell or per-benchmark row).").
 			Observe(span.Dur.Seconds())
 	}
 }
 
-// simulate runs one cell — remotely when a fleet is configured and the
-// cell is serializable, in-process otherwise. The ablation rows shard at
-// row granularity and call this per dependent cell, so they fan out to
-// the fleet too.
-func simulate(c runCell, opt Options) (core.Result, error) {
-	coord := opt.coordinator()
-	if coord == nil {
-		return simulateLocal(c, opt)
-	}
-	spec, ok := specForCell(opt, c)
-	if !ok {
-		return simulateLocal(c, opt)
-	}
-	jrs, err := coord.Run([]distsweep.JobSpec{spec},
-		func(int, []distsweep.JobSpec) ([]distsweep.JobResult, error) {
-			res, wins, rerr := simulateLocalFull(c, opt)
-			if rerr != nil {
-				return nil, rerr
-			}
-			return []distsweep.JobResult{{Result: res, Audit: res.AuditFinal(), WindowSeries: wins}}, nil
-		},
-		func(_ int, res []distsweep.JobResult) {
-			opt.observe(c.bench.Profile().Name, c.cfg.Policy, res[0].Result)
-		})
-	if err != nil {
-		return core.Result{}, err
-	}
-	return jrs[0].Result, nil
-}
-
-// simulateLocal runs one cell in-process with a fresh engine, cache, and
-// predictor. With Options.AuditSample > 0 it attaches a sampled
-// obs.AuditProbe to the run: stream violations panic (the pool
-// re-surfaces them), and the final accounting identities are verified
-// before the result is accepted.
-func simulateLocal(c runCell, opt Options) (core.Result, error) {
-	res, _, err := simulateCell(c, opt, nil, nil)
-	return res, err
-}
-
-// simulateLocalFull is simulateLocal keeping the captured window series.
-func simulateLocalFull(c runCell, opt Options) (core.Result, []obs.WindowRecord, error) {
-	return simulateCell(c, opt, nil, nil)
-}
-
-// simulateCell is simulateLocal with the pool executor's reuses threaded in:
-// rd, when non-nil, is a replay cursor over the cell's (pre-generated)
-// stream; arena, when non-nil, donates storage from earlier cells on the
-// same worker. Both are behaviour-neutral. With Options.CaptureWindows set
+// simulateCell runs one cell with a fresh engine, cache, and predictor — on
+// an in-process pool worker or, through JobRunner, on a fleet worker. With
+// Options.AuditSample > 0 it attaches a sampled obs.AuditProbe to the run:
+// stream violations panic (the pool re-surfaces them), and the final
+// accounting identities are verified before the result is accepted. rd,
+// when non-nil, is a replay cursor over the cell's (pre-generated) stream;
+// arena, when non-nil, donates storage from earlier cells on the same
+// worker. Both are behaviour-neutral. With Options.CaptureWindows set
 // (which requires a positive sample interval) the run carries an
 // obs.WindowSeries and the records come back as the second return; a
 // sample-only series attached alone keeps the engine's bulk path enabled,

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
@@ -18,9 +19,11 @@ import (
 // their order, and the terminal error (io.EOF from the instruction limit, or
 // a walker fault mid-stream) are exactly what a fresh bounded walker yields.
 
-// traceKey identifies one dynamic stream at one instruction budget.
+// traceKey identifies one dynamic stream at one instruction budget. It keys
+// on the built benchmark, not the profile name: a relaid-out bench keeps its
+// source profile but walks a different address stream.
 type traceKey struct {
-	bench string
+	bench *synth.Bench
 	seed  uint64
 	insts int64
 }
@@ -29,10 +32,13 @@ type traceKey struct {
 // yields, then the error it ends with.
 type sharedTrace struct {
 	once sync.Once
-	b    *synth.Bench
 	key  traceKey
 	recs []trace.Record
 	err  error
+	// readers counts the cells still to read the stream; the last one to
+	// finish drops the records, so a bench-major work-list holds only the
+	// streams of the benches in flight rather than every bench's at once.
+	readers atomic.Int64
 	// valid reports that every record passed Validate at generation time, so
 	// replay cursors may vouch for the stream (trace.PreValidated) and spare
 	// each cell the per-record re-check. A stream with an invalid record is
@@ -46,7 +52,7 @@ type sharedTrace struct {
 func (s *sharedTrace) generate() {
 	s.once.Do(func() {
 		s.valid = true
-		rd := trace.NewLimitReader(s.b.NewWalker(s.key.seed), traceLimit(s.key.insts))
+		rd := trace.NewLimitReader(s.key.bench.NewWalker(s.key.seed), traceLimit(s.key.insts))
 		for {
 			rec, err := rd.Next()
 			if err != nil {
@@ -65,6 +71,13 @@ func (s *sharedTrace) generate() {
 func (s *sharedTrace) reader() trace.Reader {
 	s.generate()
 	return &replayReader{recs: s.recs, err: s.err, pre: s.valid}
+}
+
+// release records that one reader has finished with the stream.
+func (s *sharedTrace) release() {
+	if s.readers.Add(-1) == 0 {
+		s.recs = nil
+	}
 }
 
 // replayReader is a cursor over a pre-generated stream. After the records
@@ -91,7 +104,7 @@ func (r *replayReader) Next() (trace.Record, error) {
 // record passed Validate at generation time.
 func (r *replayReader) PreValidatedTrace() bool { return r.pre }
 
-// traceLimit is the stream length simulateLocal feeds an engine with an
+// traceLimit is the stream length simulateCell feeds an engine with an
 // instruction budget of insts: headroom for the wrong-path consistency
 // checks at the final records, same as a direct walker run.
 func traceLimit(insts int64) int64 { return insts + insts/4 }
@@ -115,7 +128,8 @@ func sharedTraces(opt Options, cells []runCell) map[traceKey]*sharedTrace {
 			shared = make(map[traceKey]*sharedTrace)
 		}
 		if _, ok := shared[k]; !ok {
-			shared[k] = &sharedTrace{b: c.bench, key: k}
+			shared[k] = &sharedTrace{key: k}
+			shared[k].readers.Store(int64(counts[k]))
 		}
 	}
 	return shared
@@ -123,5 +137,5 @@ func sharedTraces(opt Options, cells []runCell) map[traceKey]*sharedTrace {
 
 // cellTraceKey names the stream a cell reads.
 func cellTraceKey(c runCell, opt Options) traceKey {
-	return traceKey{bench: c.bench.Profile().Name, seed: c.seed, insts: opt.Insts}
+	return traceKey{bench: c.bench, seed: c.seed, insts: opt.Insts}
 }

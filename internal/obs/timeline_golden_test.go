@@ -48,7 +48,7 @@ func goldenEvents() []Event {
 
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, goldenEvents()); err != nil {
+	if err := (CombinedTrace{Events: goldenEvents()}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,7 +86,7 @@ func goldenSpans() []HostSpan {
 
 func TestHostTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteHostTrace(&buf, goldenSpans()); err != nil {
+	if err := (CombinedTrace{Spans: goldenSpans()}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 
@@ -114,7 +114,7 @@ func TestHostTraceGolden(t *testing.T) {
 // complete metadata — the "sweep next to the machine timeline" contract.
 func TestCombinedTraceWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteCombinedTrace(&buf, goldenEvents(), goldenSpans()); err != nil {
+	if err := (CombinedTrace{Events: goldenEvents(), Spans: goldenSpans()}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -174,7 +174,7 @@ func TestFleetTraceWellFormed(t *testing.T) {
 		}},
 	}
 	var buf bytes.Buffer
-	if err := WriteCombinedTrace(&buf, goldenEvents(), goldenSpans(), fleet...); err != nil {
+	if err := (CombinedTrace{Events: goldenEvents(), Spans: goldenSpans(), Fleet: fleet}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -221,9 +221,8 @@ func goldenWindows() []WindowRecord {
 // TestCounterTracksWellFormed renders counter tracks next to the machine
 // stream and checks the track metadata, one sample per counter series per
 // window at the window's closing cycle, and the component split on the
-// stall counter. It also pins two neutrality properties: WriteCombinedTrace
-// is byte-identical to a counter-free CombinedTrace (old call sites cannot
-// drift), and a counters-only trace still names the machine process.
+// stall counter. It also checks that a counters-only trace still names the
+// machine process.
 func TestCounterTracksWellFormed(t *testing.T) {
 	var buf bytes.Buffer
 	tr := CombinedTrace{Events: goldenEvents(), Counters: goldenWindows(), Spans: goldenSpans()}
@@ -288,17 +287,6 @@ func TestCounterTracksWellFormed(t *testing.T) {
 		}
 	}
 
-	var viaFunc, viaStruct bytes.Buffer
-	if err := WriteCombinedTrace(&viaFunc, goldenEvents(), goldenSpans()); err != nil {
-		t.Fatal(err)
-	}
-	if err := (CombinedTrace{Events: goldenEvents(), Spans: goldenSpans()}).Write(&viaStruct); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(viaFunc.Bytes(), viaStruct.Bytes()) {
-		t.Error("counter-free CombinedTrace diverges from WriteCombinedTrace bytes")
-	}
-
 	buf.Reset()
 	if err := (CombinedTrace{Counters: goldenWindows()}).Write(&buf); err != nil {
 		t.Fatal(err)
@@ -315,7 +303,7 @@ func TestCounterTracksWellFormed(t *testing.T) {
 // on, independent of the exact golden bytes.
 func TestChromeTraceWellFormed(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, goldenEvents()); err != nil {
+	if err := (CombinedTrace{Events: goldenEvents()}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

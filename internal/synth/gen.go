@@ -41,10 +41,19 @@ type Bench struct {
 	// guardIdx maps each driver guard branch to its site index, for phased
 	// execution.
 	guardIdx map[isa.Addr]int
+	// fromProfile marks a bench Build generated, which Build(profile)
+	// reproduces exactly.
+	fromProfile bool
 }
 
 // Profile returns the profile the benchmark was generated from.
 func (b *Bench) Profile() Profile { return b.profile }
+
+// FromProfile reports whether Build(b.Profile()) reproduces this benchmark
+// exactly, so another process can rebuild it from the profile alone. A
+// relaid-out benchmark (ReorderByProfile) or a hand-built kernel keeps a
+// profile it was not generated from and reports false.
+func (b *Bench) FromProfile() bool { return b.fromProfile }
 
 // Image returns the static code image.
 func (b *Bench) Image() *program.Image { return b.img }
@@ -102,6 +111,7 @@ func Build(p Profile) (*Bench, error) {
 		profile: p, img: img, entry: entry,
 		conds: g.conds, indirs: g.indirs,
 		loopStart: g.loopStart, guardIdx: g.guardIdx,
+		fromProfile: true,
 	}, nil
 }
 

@@ -13,6 +13,11 @@ func TestReorderPreservesDynamics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The relaid-out bench keeps its source profile but is not what Build
+	// generates from it.
+	if !b.FromProfile() || rb.FromProfile() {
+		t.Errorf("FromProfile: built %v, reordered %v; want true, false", b.FromProfile(), rb.FromProfile())
+	}
 
 	// Same static size (modulo alignment padding) and function count.
 	if got, want := len(rb.Image().Funcs()), len(b.Image().Funcs()); got != want {

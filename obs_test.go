@@ -62,7 +62,7 @@ func TestObservedRunMatchesResult(t *testing.T) {
 
 	// The timeline export must be well-formed trace-event JSON.
 	var buf bytes.Buffer
-	if err := specfetch.WriteChromeTrace(&buf, rec.Events()); err != nil {
+	if err := (specfetch.CombinedTrace{Events: rec.Events()}).Write(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -87,8 +87,9 @@ func TestRunWithProbe(t *testing.T) {
 	cfg.MaxInsts = insts
 
 	samp := specfetch.NewIntervalSampler()
-	res, err := specfetch.RunWithProbe(cfg, bench.Image(), bench.NewReader(7, insts*2),
-		specfetch.NewPredictor(), samp, 5_000)
+	cfg.Probe = samp
+	cfg.SampleInterval = 5_000
+	res, err := specfetch.Run(cfg, bench.Image(), bench.NewReader(7, insts*2), specfetch.NewPredictor())
 	if err != nil {
 		t.Fatal(err)
 	}

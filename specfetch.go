@@ -13,9 +13,10 @@
 //	res, _ := specfetch.RunBenchmark(bench, cfg, 1_000_000, 1)
 //	fmt.Printf("ISPI %.3f\n", res.TotalISPI())
 //
-// The package is a thin facade over the internal packages; everything
-// needed to run simulations, generate synthetic workloads, read/write trace
-// files, and regenerate the paper's tables and figures is exported here.
+// The package is a thin facade over the internal packages, exporting what
+// the commands and examples use: running simulations, generating synthetic
+// workloads, hand-built images and traces, reading trace files, and the
+// observability probes.
 package specfetch
 
 import (
@@ -23,15 +24,11 @@ import (
 
 	"specfetch/internal/adaptive"
 	"specfetch/internal/bpred"
-	"specfetch/internal/cache"
-	"specfetch/internal/classify"
 	"specfetch/internal/core"
-	"specfetch/internal/distsweep"
 	"specfetch/internal/isa"
 	"specfetch/internal/metrics"
 	"specfetch/internal/obs"
 	"specfetch/internal/program"
-	"specfetch/internal/sweeplog"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
 )
@@ -39,13 +36,12 @@ import (
 // Policy selects how I-cache misses on speculative paths are handled.
 type Policy = core.Policy
 
-// The five fetch policies of the paper's Table 1.
+// Fetch policies of the paper's Table 1; Policies lists all five.
 const (
 	Oracle      = core.Oracle
 	Optimistic  = core.Optimistic
 	Resume      = core.Resume
 	Pessimistic = core.Pessimistic
-	Decode      = core.Decode
 )
 
 // Adaptive is the online meta-policy: the engine re-selects one of the five
@@ -73,14 +69,10 @@ type Chooser = core.Chooser
 // every Adaptive window boundary.
 type AdaptWindow = core.AdaptWindow
 
-// NewChooser builds an adaptive chooser strategy by name — one of
-// ChooserStrategies: "tournament", "ucb", "egreedy", "phase:<period>", or
-// "pinned:<policy>". The seed feeds randomized strategies (egreedy);
+// NewChooser builds an adaptive chooser strategy by name: "tournament",
+// "ucb", "egreedy", "phase:<period>", or "pinned:<policy>". The seed feeds randomized strategies (egreedy);
 // deterministic ones accept and ignore it.
 func NewChooser(strategy string, seed uint64) (Chooser, error) { return adaptive.New(strategy, seed) }
-
-// ChooserStrategies lists the recognized adaptive strategy names.
-func ChooserStrategies() []string { return adaptive.Names() }
 
 // Config parameterizes one simulation run (machine widths, latencies,
 // cache geometry, prefetching, instruction budget).
@@ -98,33 +90,12 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 // stepper survives as the executable specification and a debugging aid.
 type StepMode = core.StepMode
 
-// The two engine cores, selected via Config.StepMode.
-const (
-	StepSkipAhead = core.StepSkipAhead
-	StepReference = core.StepReference
-)
-
 // ParseStepMode parses a step-mode name ("skipahead", "reference").
 func ParseStepMode(s string) (StepMode, error) { return core.ParseStepMode(s) }
-
-// StepModes lists both engine cores, skip-ahead first (the default).
-func StepModes() []StepMode { return core.StepModes() }
-
-// Arena is reusable per-run engine state: threading one arena through
-// back-to-back runs (Config.Arena) makes the steady-state simulation loop
-// allocation-free across cells. One arena must not serve two concurrent
-// engines; reuse is behaviour-neutral, results are bit-identical either way.
-type Arena = core.Arena
-
-// NewArena returns an empty arena; the first run populates it.
-func NewArena() *Arena { return core.NewArena() }
 
 // Result reports one run's measurements: cycles, per-component lost issue
 // slots, branch events, traffic, and miss counts.
 type Result = core.Result
-
-// CacheConfig sizes an instruction cache.
-type CacheConfig = cache.Config
 
 // Cycles counts simulated machine cycles; Slots counts instruction-issue
 // opportunities (width per cycle). They are distinct defined types so cycle
@@ -139,34 +110,17 @@ type (
 // paper's figures).
 type Component = metrics.Component
 
-// The penalty components of Figures 1-4.
-const (
-	BranchFull   = metrics.BranchFull
-	Branch       = metrics.Branch
-	ForceResolve = metrics.ForceResolve
-	Bus          = metrics.Bus
-	RTICache     = metrics.RTICache
-	WrongICache  = metrics.WrongICache
-)
-
 // Components lists the penalty components in stacking order.
 func Components() []Component { return metrics.Components() }
 
 // Addr is a byte address in the simulated instruction space.
 type Addr = isa.Addr
 
-// Kind classifies an instruction for the branch architecture.
-type Kind = isa.Kind
-
-// Instruction kinds.
+// Instruction kinds for hand-built images and traces.
 const (
-	Plain        = isa.Plain
-	CondBranch   = isa.CondBranch
-	Jump         = isa.Jump
-	Call         = isa.Call
-	Return       = isa.Return
-	IndirectJump = isa.IndirectJump
-	IndirectCall = isa.IndirectCall
+	CondBranch = isa.CondBranch
+	Call       = isa.Call
+	Return     = isa.Return
 )
 
 // Image is a static code image; the engine walks it on wrong paths.
@@ -187,12 +141,6 @@ type TraceRecord = trace.Record
 // TraceReader yields trace records until io.EOF.
 type TraceReader = trace.Reader
 
-// TraceWriter persists trace records.
-type TraceWriter = trace.Writer
-
-// TraceStats summarizes a trace's dynamic behaviour.
-type TraceStats = trace.Stats
-
 // NewSliceTrace replays an in-memory record slice.
 func NewSliceTrace(recs []TraceRecord) *trace.SliceReader { return trace.NewSliceReader(recs) }
 
@@ -212,10 +160,6 @@ func Run(cfg Config, img *Image, rd TraceReader, pred Predictor) (Result, error)
 // Config.Probe (and Config.SampleInterval for time-series sampling). A nil
 // probe costs one predictable branch per hook — effectively free.
 type Probe = obs.Probe
-
-// NopProbe implements every Probe callback as a no-op; embed it in custom
-// collectors.
-type NopProbe = obs.NopProbe
 
 // Event is one recorded probe callback (EventRecorder's unit).
 type Event = obs.Event
@@ -255,13 +199,6 @@ type WindowRecord = obs.WindowRecord
 // Snapshot is the cumulative-counters view delivered to samplers.
 type Snapshot = obs.Snapshot
 
-// MetricsRegistry is a Prometheus-style counters registry with text
-// exposition and an http.Handler for /metrics endpoints.
-type MetricsRegistry = obs.Registry
-
-// NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
 // MultiProbe composes several probes into one; each callback fans out to
 // every part in order.
 func MultiProbe(ps ...Probe) Probe { return obs.Multi(ps...) }
@@ -285,57 +222,12 @@ type AuditFinal = obs.AuditFinal
 // NewAuditProbe builds a runtime invariant auditor for one run.
 func NewAuditProbe(opt AuditOptions) *AuditProbe { return obs.NewAuditProbe(opt) }
 
-// WriteChromeTrace renders recorded events as Chrome trace-event JSON,
-// loadable in https://ui.perfetto.dev or chrome://tracing.
-func WriteChromeTrace(w io.Writer, events []Event) error { return obs.WriteChromeTrace(w, events) }
-
-// LatencyHistogram is a fixed-bucket log-spaced histogram metric (registered
-// via MetricsRegistry.Histogram) with Prometheus text exposition and a
-// bounded-error quantile estimator.
-type LatencyHistogram = obs.Histogram
-
-// HostSpan is one completed host-side span: a named unit of host work
-// (simulation cell, ablation row) with wall-clock timing and allocation
-// counts. Host spans measure the simulator, never the simulated machine.
-type HostSpan = obs.HostSpan
-
-// SpanTracer records HostSpans concurrently; a nil tracer is inert.
-type SpanTracer = obs.SpanTracer
-
-// NewSpanTracer builds an empty host-side span tracer.
-func NewSpanTracer() *SpanTracer { return obs.NewSpanTracer() }
-
-// WriteHostTrace renders host-side spans as Chrome trace-event JSON, one
-// track per worker.
-func WriteHostTrace(w io.Writer, spans []HostSpan) error { return obs.WriteHostTrace(w, spans) }
-
-// FleetProcessSpans is one remote process's named track of host spans, as
-// collected by a SweepCoordinator from its worker daemons (see
-// SweepCoordinator.FleetSpans).
-type FleetProcessSpans = obs.ProcessSpans
-
-// WriteCombinedTrace renders the machine timeline and host spans into one
-// Chrome trace: the simulated machine and the simulator that ran it,
-// side by side in https://ui.perfetto.dev. Optional fleet tracks (one per
-// remote worker process, re-anchored onto the coordinator's clock) extend
-// the same file to the whole distributed sweep.
-func WriteCombinedTrace(w io.Writer, events []Event, spans []HostSpan, fleet ...FleetProcessSpans) error {
-	return obs.WriteCombinedTrace(w, events, spans, fleet...)
-}
-
 // CombinedTrace is the full Perfetto trace bundle: machine events, interval
 // counter tracks (per-window ISPI, miss rate, bus occupancy, stall
 // components), host spans, and fleet processes; Write renders any subset
-// into one file.
+// into one Chrome trace-event file, loadable in https://ui.perfetto.dev or
+// chrome://tracing.
 type CombinedTrace = obs.CombinedTrace
-
-// RunWithProbe is Run with an attached probe and sampling interval — a
-// convenience for callers that do not want to touch Config fields.
-func RunWithProbe(cfg Config, img *Image, rd TraceReader, pred Predictor, p Probe, sampleEvery int64) (Result, error) {
-	cfg.Probe = p
-	cfg.SampleInterval = sampleEvery
-	return core.Run(cfg, img, rd, pred)
-}
 
 // Profile parameterizes the synthetic workload generator.
 type Profile = synth.Profile
@@ -344,21 +236,10 @@ type Profile = synth.Profile
 // behaviour, able to produce correct-path traces.
 type Bench = synth.Bench
 
-// The 13 stock benchmark profiles, calibrated against the paper's Table 2/3.
+// Two of the 13 stock benchmark profiles; ProfileByName finds any of them.
 var (
-	Doduc   = synth.Doduc
-	Fpppp   = synth.Fpppp
-	Su2cor  = synth.Su2cor
-	Ditroff = synth.Ditroff
-	GCC     = synth.GCC
-	Li      = synth.Li
-	Tex     = synth.Tex
-	Cfront  = synth.Cfront
-	DBpp    = synth.DBpp
-	Groff   = synth.Groff
-	IDL     = synth.IDL
-	Lic     = synth.Lic
-	Porky   = synth.Porky
+	GCC   = synth.GCC
+	Groff = synth.Groff
 )
 
 // Profiles returns the stock benchmark profiles in the paper's order.
@@ -379,20 +260,6 @@ func RunBenchmark(b *Bench, cfg Config, insts int64, streamSeed uint64) (Result,
 	return core.Run(cfg, b.Image(), b.NewReader(streamSeed, insts+insts/4), NewPredictor())
 }
 
-// MissCategories is the paper's Table 4 classification of I-cache misses
-// under speculative execution.
-type MissCategories = classify.Categories
-
-// ClassifyMisses runs Oracle and Optimistic over the same benchmark trace
-// and partitions correct-path misses into Both Miss / Spec Pollute /
-// Spec Prefetch / Wrong Path, plus the traffic ratio.
-func ClassifyMisses(b *Bench, cfg Config, insts int64, streamSeed uint64) (MissCategories, error) {
-	cfg.MaxInsts = insts
-	return classify.Run(cfg, b.Image(),
-		func() TraceReader { return b.NewReader(streamSeed, insts+insts/4) },
-		func() Predictor { return NewPredictor() })
-}
-
 // WriteImage serializes a static image in the portable text format.
 func WriteImage(w io.Writer, img *Image) error { return program.WriteImage(w, img) }
 
@@ -403,12 +270,6 @@ func ReadImage(r io.Reader) (*Image, error) { return program.ReadImage(r) }
 // transparently decompressed, the binary format is detected by its magic
 // header, and anything else parses as the text format.
 func OpenTrace(r io.Reader) (TraceReader, error) { return trace.OpenFile(r) }
-
-// NewBinaryTraceWriter writes the compact binary trace format.
-func NewBinaryTraceWriter(w io.Writer) *trace.BinaryWriter { return trace.NewBinaryWriter(w) }
-
-// NewTextTraceWriter writes the line-oriented text trace format.
-func NewTextTraceWriter(w io.Writer) *trace.TextWriter { return trace.NewTextWriter(w) }
 
 // LoopKernel builds a microbenchmark: a single loop of bodyInsts plain
 // instructions with geometric trip counts. Cache/branch behaviour is
@@ -425,96 +286,4 @@ func CallKernel(depth, bodyInsts int) (*Bench, error) { return synth.CallKernel(
 // dispatch loop over fanout handlers, isolating BTB target misprediction.
 func DispatchKernel(fanout, handlerInsts int) (*Bench, error) {
 	return synth.DispatchKernel(fanout, handlerInsts)
-}
-
-// SweepWireVersion is the distributed-sweep wire protocol version; a
-// coordinator and its workers must agree on it.
-const SweepWireVersion = distsweep.WireVersion
-
-// SweepJobSpec is one serialized simulation cell of the distributed sweep
-// executor: benchmark recipe, machine configuration, stream seed,
-// predictor kind, instruction budget, and audit sampling — everything a
-// worker process needs to reproduce the cell bit-for-bit.
-type SweepJobSpec = distsweep.JobSpec
-
-// SweepJobResult pairs a cell's Result with the audit identity the worker
-// re-derived from it, the self-check coordinators verify before accepting
-// remote work.
-type SweepJobResult = distsweep.JobResult
-
-// SweepBatch is the versioned request unit of the distributed sweep wire
-// protocol (POST /v1/run).
-type SweepBatch = distsweep.Batch
-
-// SweepBatchResult is the response unit of the distributed sweep wire
-// protocol.
-type SweepBatchResult = distsweep.BatchResult
-
-// SweepCoordinator fans a sweep work-list out across worker daemon
-// processes with per-batch timeouts, capped retries with exponential
-// backoff, failed-worker eviction, and in-process fallback; its reduction
-// is serial and order-keyed, so rendered sweep bytes are identical to a
-// local run. Safe for concurrent use.
-type SweepCoordinator = distsweep.Coordinator
-
-// SweepCoordinatorOptions configures a SweepCoordinator (worker URLs,
-// batch size, timeout, retry/backoff/eviction policy).
-type SweepCoordinatorOptions = distsweep.CoordinatorOptions
-
-// NewSweepCoordinator builds a coordinator over the given worker base
-// URLs. Plug it into the experiments via its Options.Dispatch field, or
-// run batches directly with Run.
-func NewSweepCoordinator(opt SweepCoordinatorOptions) *SweepCoordinator {
-	return distsweep.New(opt)
-}
-
-// SweepServerOptions configures a worker-side sweep protocol server.
-type SweepServerOptions = distsweep.ServerOptions
-
-// SweepServer is the worker-side HTTP server of the distributed sweep
-// protocol (/healthz, /v1/run, /metrics); cmd/sweepworker is the stock
-// daemon wrapping one.
-type SweepServer = distsweep.Server
-
-// NewSweepServer builds a worker-side sweep protocol server around a
-// job-running callback.
-func NewSweepServer(opt SweepServerOptions) *SweepServer {
-	return distsweep.NewServer(opt)
-}
-
-// SweepLogger is the structured decision log of the distributed sweep
-// layer: a JSONL stream of dispatch/retry/backoff/requeue/evict/fallback
-// records with a pinned schema, plus an in-memory flight-recorder ring
-// (Recent) that /sweepz renders. A nil *SweepLogger is inert, like a nil
-// Probe, so logging never perturbs a sweep's rendered bytes.
-type SweepLogger = sweeplog.Logger
-
-// SweepLogOptions configures a SweepLogger (sink writer, ring size,
-// injectable clock).
-type SweepLogOptions = sweeplog.Options
-
-// SweepLogCause labels why a dispatch decision was taken (retry causes:
-// network, 5xx, corrupt, version, tamper; local-fallback causes:
-// permanent, retries-exhausted, no-workers).
-type SweepLogCause = sweeplog.Cause
-
-// The sweep log's decision-cause taxonomy.
-const (
-	SweepCauseNetwork          = sweeplog.CauseNetwork
-	SweepCause5xx              = sweeplog.Cause5xx
-	SweepCauseCorrupt          = sweeplog.CauseCorrupt
-	SweepCauseVersion          = sweeplog.CauseVersion
-	SweepCauseTamper           = sweeplog.CauseTamper
-	SweepCausePermanent        = sweeplog.CausePermanent
-	SweepCauseRetriesExhausted = sweeplog.CauseRetriesExhausted
-	SweepCauseNoWorkers        = sweeplog.CauseNoWorkers
-)
-
-// SweepLogSchemaVersion is the pinned "v" field of every sweep log record.
-const SweepLogSchemaVersion = sweeplog.SchemaVersion
-
-// NewSweepLogger builds a structured sweep logger. A zero Options logs to
-// the in-memory ring only (flight-recorder mode).
-func NewSweepLogger(opt SweepLogOptions) *SweepLogger {
-	return sweeplog.New(opt)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"specfetch"
+	"specfetch/internal/trace"
 )
 
 // TestPublicAPIEndToEnd drives the façade the way the README shows.
@@ -55,9 +56,6 @@ func TestAdaptiveFacade(t *testing.T) {
 		if p == specfetch.Adaptive {
 			t.Fatal("Policies() lists the Adaptive meta-policy")
 		}
-	}
-	if len(specfetch.ChooserStrategies()) == 0 {
-		t.Fatal("no chooser strategies advertised")
 	}
 	if _, err := specfetch.NewChooser("bogus", 0); err == nil {
 		t.Fatal("bogus strategy accepted")
@@ -130,20 +128,6 @@ func TestProfileLookup(t *testing.T) {
 	}
 }
 
-func TestClassifyMissesAPI(t *testing.T) {
-	bench, err := specfetch.BuildBenchmark(specfetch.Li())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat, err := specfetch.ClassifyMisses(bench, specfetch.DefaultConfig(), 100_000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cat.Insts < 100_000 || cat.BothMiss < 0 {
-		t.Errorf("categories: %+v", cat)
-	}
-}
-
 // TestCustomProgramAndTrace exercises the hand-built path through the
 // façade types.
 func TestCustomProgramAndTrace(t *testing.T) {
@@ -172,7 +156,7 @@ func TestCustomProgramAndTrace(t *testing.T) {
 
 // TestDeterministicResults: identical runs give identical measurements.
 func TestDeterministicResults(t *testing.T) {
-	bench, _ := specfetch.BuildBenchmark(specfetch.DBpp())
+	bench, _ := specfetch.BuildBenchmark(specfetch.Groff())
 	cfg := specfetch.DefaultConfig()
 	cfg.Policy = specfetch.Optimistic
 	a, err := specfetch.RunBenchmark(bench, cfg, 50_000, 9)
@@ -189,14 +173,14 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 // TestFacadeIO exercises the file-format helpers exposed at the root:
-// image serialization, trace writers, and the sniffing reader.
+// image serialization and the sniffing trace reader.
 func TestFacadeIO(t *testing.T) {
 	b, err := specfetch.NewImageBuilder(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.AppendPlain(3)
-	b.Append(specfetch.Inst{Kind: specfetch.Jump, Target: 0})
+	b.Append(specfetch.Inst{Kind: specfetch.CondBranch, Target: 0})
 	img, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -215,12 +199,12 @@ func TestFacadeIO(t *testing.T) {
 	}
 
 	recs := []specfetch.TraceRecord{
-		{Start: 0, N: 4, BrKind: specfetch.Jump, Taken: true, Target: 0},
-		{Start: 0, N: 4, BrKind: specfetch.Jump, Taken: true, Target: 0},
+		{Start: 0, N: 4, BrKind: specfetch.CondBranch, Taken: true, Target: 0},
+		{Start: 0, N: 4, BrKind: specfetch.CondBranch, Taken: true, Target: 0},
 	}
-	for name, mk := range map[string]func(io.Writer) specfetch.TraceWriter{
-		"binary": func(w io.Writer) specfetch.TraceWriter { return specfetch.NewBinaryTraceWriter(w) },
-		"text":   func(w io.Writer) specfetch.TraceWriter { return specfetch.NewTextTraceWriter(w) },
+	for name, mk := range map[string]func(io.Writer) trace.Writer{
+		"binary": func(w io.Writer) trace.Writer { return trace.NewBinaryWriter(w) },
+		"text":   func(w io.Writer) trace.Writer { return trace.NewTextWriter(w) },
 	} {
 		var buf bytes.Buffer
 		w := mk(&buf)
