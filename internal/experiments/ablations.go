@@ -45,7 +45,7 @@ type variant func(b *synth.Bench) runCell
 
 // configs makes one variant per machine configuration, each on the shared
 // stream.
-func configs(cfgs ...core.Config) []variant {
+func configs(cfgs []core.Config) []variant {
 	vs := make([]variant, len(cfgs))
 	for j, cfg := range cfgs {
 		vs[j] = func(b *synth.Bench) runCell { return newCell(b, cfg) }
@@ -110,7 +110,7 @@ func AblationPrefetch(opt Options) (*texttable.Table, error) {
 		s.Apply(&cfgs[j])
 	}
 	t := texttable.New("Ablation: prefetch scheme (Resume policy, 8K, 5-cycle penalty)", headers...)
-	return ablate(opt, t, benches, configs(cfgs...), func(res []core.Result) []any {
+	return ablate(opt, t, benches, configs(cfgs), func(res []core.Result) []any {
 		base := float64(res[0].Traffic.Total())
 		cells := make([]any, 0, 2*len(res))
 		for _, r := range res {
@@ -159,7 +159,7 @@ func AblationAssociativity(opt Options) (*texttable.Table, error) {
 		cfg.ICache.Assoc = assoc
 		cfgs = append(cfgs, cfg)
 	}
-	return ablate(opt, t, benches, configs(cfgs...), ispiMiss)
+	return ablate(opt, t, benches, configs(cfgs), ispiMiss)
 }
 
 // AblationFetchWidth sweeps the superscalar width (the paper fixes 4).
@@ -176,7 +176,7 @@ func AblationFetchWidth(opt Options) (*texttable.Table, error) {
 		cfg.FetchWidth = w
 		cfgs = append(cfgs, cfg)
 	}
-	return ablate(opt, t, benches, configs(cfgs...), func(res []core.Result) []any {
+	return ablate(opt, t, benches, configs(cfgs), func(res []core.Result) []any {
 		cells := make([]any, 0, len(res))
 		for _, r := range res {
 			cells = append(cells, r.IPC())
@@ -205,7 +205,7 @@ func AblationPipelinedMemory(opt Options) (*texttable.Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	return ablate(opt, t, benches, configs(cfgs...), ispi)
+	return ablate(opt, t, benches, configs(cfgs), ispi)
 }
 
 // AblationRAS compares the paper's BTB-only return prediction against
@@ -223,7 +223,7 @@ func AblationRAS(opt Options) (*texttable.Table, error) {
 		cfg.RASDepth = depth
 		cfgs = append(cfgs, cfg)
 	}
-	return ablate(opt, t, benches, configs(cfgs...), func(res []core.Result) []any {
+	return ablate(opt, t, benches, configs(cfgs), func(res []core.Result) []any {
 		cells := make([]any, 0, 2*len(res))
 		for _, r := range res {
 			per100k := 0.0
@@ -251,7 +251,7 @@ func AblationVictimCache(opt Options) (*texttable.Table, error) {
 		cfg.ICache.VictimLines = lines
 		cfgs = append(cfgs, cfg)
 	}
-	return ablate(opt, t, benches, configs(cfgs...), ispiMiss)
+	return ablate(opt, t, benches, configs(cfgs), ispiMiss)
 }
 
 // AblationMSHR compares the paper's single resume/prefetch buffers against
@@ -275,7 +275,7 @@ func AblationMSHR(opt Options) (*texttable.Table, error) {
 		cfg.PipelinedMemory = v.pipe
 		cfgs = append(cfgs, cfg)
 	}
-	return ablate(opt, t, benches, configs(cfgs...), ispi)
+	return ablate(opt, t, benches, configs(cfgs), ispi)
 }
 
 // AblationCodeLayout evaluates profile-guided function reordering — the
@@ -339,7 +339,7 @@ func AblationL2(opt Options) (*texttable.Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	return ablate(opt, t, benches, configs(cfgs...), func(res []core.Result) []any {
+	return ablate(opt, t, benches, configs(cfgs), func(res []core.Result) []any {
 		// The hit rate is the last L2 variant's with any L2 traffic.
 		var hitPct float64
 		for _, r := range res[2:] {
@@ -370,7 +370,7 @@ func AblationContextSwitch(opt Options) (*texttable.Table, error) {
 			cfgs = append(cfgs, cfg)
 		}
 	}
-	return ablate(opt, t, benches, configs(cfgs...), ispi)
+	return ablate(opt, t, benches, configs(cfgs), ispi)
 }
 
 // Ablations maps names to runners (used by cmd/paperbench -ablation).
