@@ -103,7 +103,17 @@ func run(args []string, stderr io.Writer) int {
 	}
 	_, _ = fmt.Fprintf(stderr, "sweepworker: listening on %s\n", ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// A stalled client may hold a connection only briefly before its request
+	// headers arrive. Idle keep-alive connections close after longer than
+	// the Go client's own 90 s idle timeout, so a coordinator drops them
+	// first and never posts a batch onto a connection the worker is closing.
+	// There is no WriteTimeout: a long batch computes for minutes before its
+	// response is written.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -432,6 +432,53 @@ func TestServerRejects(t *testing.T) {
 	}
 }
 
+// TestServerBodyLimit: the request body is bounded by MaxBatchJobs (16 KiB
+// per job); an oversized body is a permanent 413 and never reaches the
+// Runner.
+func TestServerBodyLimit(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(NewServer(ServerOptions{
+		Runner: func(JobSpec) (JobResult, error) {
+			calls.Add(1)
+			return JobResult{}, nil
+		},
+		MaxBatchJobs: 1,
+	}).Handler())
+	t.Cleanup(srv.Close)
+	body := `{"version":1,"id":1,"campaign":"` + strings.Repeat("x", 1<<20) + `","jobs":[]}`
+	resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("1 MiB body with MaxBatchJobs 1: status %d, want 413", resp.StatusCode)
+	}
+	var eb ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Job != -1 {
+		t.Errorf("error body %+v (%v), want a batch-level error", eb, err)
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("Runner called %d times for a refused body", n)
+	}
+
+	// A real one-job batch fits the same limit.
+	one := fixtureBatch()
+	one.Jobs = one.Jobs[:1]
+	raw, err := json.Marshal(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2, err := http.Post(srv.URL+"/v1/run", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("post: %v", err)
+	}
+	_ = resp2.Body.Close()
+	if resp2.StatusCode != http.StatusOK || calls.Load() != 1 {
+		t.Errorf("one-job batch with MaxBatchJobs 1: status %d, %d Runner calls", resp2.StatusCode, calls.Load())
+	}
+}
+
 // logEvents filters a logger's flight recorder down to one event type.
 func logEvents(l *sweeplog.Logger, ev string) []string {
 	var out []string

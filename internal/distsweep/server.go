@@ -2,6 +2,7 @@ package distsweep
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -32,9 +33,16 @@ type ServerOptions struct {
 	// job_error) under the campaign the coordinator stamped on the batch.
 	Log *sweeplog.Logger
 	// MaxBatchJobs rejects batches larger than this with HTTP 400;
-	// 0 means the default of 4096.
+	// 0 means the default of 4096. It also bounds the request body, at
+	// maxJobBytes per job; a larger body is refused with HTTP 413.
 	MaxBatchJobs int
 }
+
+// maxJobBytes is the request-body allowance per job of MaxBatchJobs: over
+// ten times an encoded JobSpec (about 1 KB of profile, config and options),
+// so any batch the job limit admits fits, while a worker never reads more
+// than 64 MiB of body at the default limit.
+const maxJobBytes = 16 << 10
 
 // Server is the worker half of the protocol: it decodes batches, runs each
 // job through the Runner in job order, and returns job-ordered results.
@@ -98,10 +106,15 @@ func (s *Server) fail(w http.ResponseWriter, status int, job int, format string,
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
+	r.Body = http.MaxBytesReader(w, r.Body, int64(s.opt.MaxBatchJobs)*maxJobBytes)
 	var batch Batch
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(&batch); err != nil {
-		s.fail(w, http.StatusBadRequest, -1, "decoding batch: %v", err)
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		s.fail(w, status, -1, "decoding batch: %v", err)
 		return
 	}
 	if batch.Version != WireVersion {

@@ -261,7 +261,7 @@ func spanEnd(opt Options, sp obs.SpanHandle) {
 // Options.AuditSample > 0 it attaches a sampled obs.AuditProbe to the run:
 // stream violations panic (the pool re-surfaces them), and the final
 // accounting identities are verified before the result is accepted. rd,
-// when non-nil, is a replay cursor over the cell's (pre-generated) stream;
+// when non-nil, is a replay cursor over the cell's shared stream;
 // arena, when non-nil, donates storage from earlier cells on the same
 // worker. Both are behaviour-neutral. With Options.CaptureWindows set
 // (which requires a positive sample interval) the run carries an

@@ -13,11 +13,32 @@ import (
 // correct-path stream: the walker is seeded per (benchmark, stream seed),
 // and the dynamic path never depends on the fetch configuration. Generating
 // the stream is a fifth or more of a low-miss-rate cell's wall time, so the
-// local executor pre-generates each stream that more than one cell of a
-// work-list reads and hands the cells replay cursors over the shared record
-// slice. Replay is bit-identical by construction: the records handed out,
-// their order, and the terminal error (io.EOF from the instruction limit, or
-// a walker fault mid-stream) are exactly what a fresh bounded walker yields.
+// local executor shares each stream that more than one cell of a work-list
+// reads, and hands the cells replay cursors over it.
+//
+// A shared stream is an append-only list of fixed-size record chunks,
+// generated on demand by its readers (pull-through). A cursor reads the
+// chunks published when it last looked without any lock; when it runs past
+// them it takes the stream's mutex and, unless another reader got there
+// first, advances the one shared bounded walker by one chunk and publishes
+// it. So a bench's first cells start simulating after one chunk rather than
+// after the whole stream, generation is spread over the pool workers that
+// need it, and no record is ever copied by slice growth or held in growth
+// slack. The chunks are dropped when the last reader releases the stream.
+//
+// Replay is bit-identical by construction: the records handed out, their
+// order, and the terminal error (io.EOF from the instruction limit, or a
+// walker fault mid-stream) are exactly what a fresh bounded walker yields.
+// A cursor vouches for its records (trace.PreValidated) only if, when it was
+// made, the stream was complete and every record had passed Validate; an
+// earlier cursor does not, so its engine validates per record and fails
+// exactly as it would on a fresh walker.
+
+// chunkRecords is the number of records in one stream chunk (128 KiB of
+// records): large enough that the mutex is taken rarely, small enough that
+// a cell starts after a sliver of its stream and the short final chunk
+// wastes little.
+const chunkRecords = 4096
 
 // traceKey identifies one dynamic stream at one instruction budget. It keys
 // on the built benchmark, not the profile name: a relaid-out bench keeps its
@@ -28,80 +49,126 @@ type traceKey struct {
 	insts int64
 }
 
-// sharedTrace is one pre-generated stream: the records a bounded walker
-// yields, then the error it ends with.
+// sharedTrace is one shared stream: the chunks of records a bounded walker
+// yields, generated as its readers need them, then the error it ends with.
 type sharedTrace struct {
-	once sync.Once
-	key  traceKey
-	recs []trace.Record
-	err  error
+	key traceKey
 	// readers counts the cells still to read the stream; the last one to
-	// finish drops the records, so a bench-major work-list holds only the
+	// finish drops the chunks, so a bench-major work-list holds only the
 	// streams of the benches in flight rather than every bench's at once.
 	readers atomic.Int64
-	// valid reports that every record passed Validate at generation time, so
-	// replay cursors may vouch for the stream (trace.PreValidated) and spare
-	// each cell the per-record re-check. A stream with an invalid record is
-	// replayed without the vouching: each engine then validates per record
-	// and fails exactly as it would on a fresh walker.
-	valid bool
-}
 
-// generate materializes the stream on first use (sync.Once so concurrent
-// pool workers needing the same stream generate it exactly once).
-func (s *sharedTrace) generate() {
-	s.once.Do(func() {
-		s.valid = true
-		rd := trace.NewLimitReader(s.key.bench.NewWalker(s.key.seed), traceLimit(s.key.insts))
-		for {
-			rec, err := rd.Next()
-			if err != nil {
-				s.err = err
-				return
-			}
-			if rec.Validate() != nil {
-				s.valid = false
-			}
-			s.recs = append(s.recs, rec)
-		}
-	})
+	mu sync.Mutex
+	// chunks is the published stream, append-only: a published chunk is
+	// full (chunkRecords records) unless it is the last, and is never
+	// written again, so cursors read their snapshot of the list unlocked.
+	chunks [][]trace.Record
+	// src is the shared bounded walker: made from key by the first pull
+	// unless already set, and dropped once it has returned its terminal
+	// error.
+	src trace.Reader
+	// done reports that src returned err: chunks hold the whole stream.
+	done bool
+	err  error
+	// invalid reports that a generated record failed Validate.
+	invalid bool
 }
 
 // reader returns a fresh replay cursor over the stream.
 func (s *sharedTrace) reader() trace.Reader {
-	s.generate()
-	return &replayReader{recs: s.recs, err: s.err, pre: s.valid}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return &replayReader{s: s, chunks: s.chunks, done: s.done, err: s.err,
+		pre: s.done && !s.invalid}
+}
+
+// pull returns the published chunks, the completion flag and the terminal
+// error, first generating one more chunk if the caller has already seen all
+// have published chunks and the stream is not complete.
+func (s *sharedTrace) pull(have int) ([][]trace.Record, bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if have == len(s.chunks) && !s.done {
+		s.generate()
+	}
+	return s.chunks, s.done, s.err
+}
+
+// generate advances the walker by up to one chunk and publishes what it
+// yielded. Called with s.mu held.
+func (s *sharedTrace) generate() {
+	if s.src == nil {
+		s.src = trace.NewLimitReader(s.key.bench.NewWalker(s.key.seed), traceLimit(s.key.insts))
+	}
+	c := make([]trace.Record, 0, chunkRecords)
+	for len(c) < chunkRecords {
+		rec, err := s.src.Next()
+		if err != nil {
+			s.done, s.err, s.src = true, err, nil
+			break
+		}
+		if rec.Validate() != nil {
+			s.invalid = true
+		}
+		c = append(c, rec)
+	}
+	if len(c) > 0 {
+		s.chunks = append(s.chunks, c)
+	}
 }
 
 // release records that one reader has finished with the stream.
 func (s *sharedTrace) release() {
 	if s.readers.Add(-1) == 0 {
-		s.recs = nil
+		s.mu.Lock()
+		s.chunks, s.src = nil, nil
+		s.mu.Unlock()
 	}
 }
 
-// replayReader is a cursor over a pre-generated stream. After the records
-// are exhausted it reports the stream's terminal error forever, like the
+// replayReader is a cursor over a shared stream. After the records are
+// exhausted it reports the stream's terminal error forever, like the
 // exhausted LimitReader it stands in for.
 type replayReader struct {
-	recs []trace.Record
-	i    int
+	cur []trace.Record // the chunk being read
+	i   int            // the next record's index in cur
+	// chunks is the cursor's snapshot of the published chunks, next the
+	// index of the chunk after cur.
+	chunks [][]trace.Record
+	next   int
+	s      *sharedTrace
+	// done reports that chunks is the whole stream, which ends with err.
+	done bool
 	err  error
 	pre  bool
 }
 
 // Next implements trace.Reader.
 func (r *replayReader) Next() (trace.Record, error) {
-	if r.i < len(r.recs) {
-		rec := r.recs[r.i]
+	if r.i < len(r.cur) {
+		rec := r.cur[r.i]
 		r.i++
 		return rec, nil
 	}
-	return trace.Record{}, r.err
+	return r.advance()
 }
 
-// PreValidatedTrace implements trace.PreValidated: true when every replayed
-// record passed Validate at generation time.
+// advance moves the cursor to the next chunk, pulling the stream when the
+// snapshot is exhausted, and returns that chunk's first record.
+func (r *replayReader) advance() (trace.Record, error) {
+	for r.next == len(r.chunks) {
+		if r.done {
+			return trace.Record{}, r.err
+		}
+		r.chunks, r.done, r.err = r.s.pull(len(r.chunks))
+	}
+	r.cur, r.i = r.chunks[r.next], 1
+	r.next++
+	return r.cur[0], nil
+}
+
+// PreValidatedTrace implements trace.PreValidated: true when the stream was
+// complete when the cursor was made and every record passed Validate.
 func (r *replayReader) PreValidatedTrace() bool { return r.pre }
 
 // traceLimit is the stream length simulateCell feeds an engine with an
@@ -112,7 +179,7 @@ func traceLimit(insts int64) int64 { return insts + insts/4 }
 // sharedTraces pre-plans memoization for a work-list: streams read by two or
 // more cells are shared, streams unique to one cell stay on the lazy walker
 // (memoizing those would only add memory). Generation itself is deferred to
-// first use so a work-list that fails early generates nothing extra.
+// the readers, so a work-list that fails early generates nothing extra.
 func sharedTraces(opt Options, cells []runCell) map[traceKey]*sharedTrace {
 	counts := make(map[traceKey]int, len(cells))
 	for _, c := range cells {
