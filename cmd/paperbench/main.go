@@ -16,13 +16,11 @@
 // and SIGINT reports how far the run got before exiting — tables already
 // completed have been printed.
 //
-// Every run also traces host-side spans (one per simulation cell or
-// per-benchmark row) and prints a per-builder summary — wall time, cells/sec,
-// p50/p95/p99 cell latency, allocations — to stderr. -bench-out writes the
-// same aggregates as machine-readable BENCH JSON for cmd/perfdiff;
-// -host-trace dumps the raw spans as a Chrome trace (workers x cells).
-// Instrumentation never touches stdout: rendered sweep bytes are identical
-// with it on or off.
+// Every run also traces host-side spans, one per simulation cell, grouped
+// by builder; -host-trace dumps them as a Chrome trace (workers x cells) and
+// -cpuprofile/-memprofile write pprof profiles. Instrumentation never touches
+// stdout: rendered sweep bytes are identical with it on or off. Speed is
+// measured by the repository benchmark (perfbench/), not by this command.
 //
 // Usage:
 //
@@ -35,7 +33,6 @@
 //	paperbench -all -remote-workers http://host1:8477,http://host2:8477
 //	paperbench -oracle -interval 10000 -intervals-out intervals.jsonl
 //	paperbench -adaptive -strategy phase:6 -interval 2500 -flush-interval 15000 -insts 20000000
-//	paperbench -table 6 -bench-out BENCH_head.json -bench-label head
 //	paperbench -all -host-trace host.trace.json -cpuprofile cpu.pprof
 package main
 
@@ -55,11 +52,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"specfetch/internal/benchfmt"
 	"specfetch/internal/core"
 	"specfetch/internal/distsweep"
 	"specfetch/internal/experiments"
-	"specfetch/internal/hosttime"
 	"specfetch/internal/obs"
 	"specfetch/internal/sweeplog"
 	"specfetch/internal/texttable"
@@ -84,15 +79,12 @@ func main() {
 		insts    = flag.Int64("insts", 2_000_000, "instructions to simulate per benchmark")
 		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all 13)")
 		csv      = flag.Bool("csv", false, "emit tables as CSV instead of aligned text")
-		quiet    = flag.Bool("quiet", false, "suppress per-simulation progress and the host-side summary on stderr")
+		quiet    = flag.Bool("quiet", false, "suppress per-simulation progress and the sweep decision log on stderr")
 		metrics  = flag.String("metrics-addr", "", "serve Prometheus text metrics on this address at /metrics, with pprof under /debug/pprof/ (e.g. :9090)")
 		workers  = flag.Int("workers", 0, "simulation cells to run concurrently (0 = GOMAXPROCS, 1 = serial); output is byte-identical at every setting")
 		remoteWk = flag.String("remote-workers", "", "comma-separated sweepworker base URLs (e.g. http://host:8477,http://host:8478); serializable sweeps fan out across these processes, output stays byte-identical")
 		auditSmp = flag.Int("audit-sample", 0, "attach the accounting auditor to every simulation, checking every Nth pipeline window (1 = every window)")
-		sampleIv = flag.Int64("sample-interval", 0, "attach the interval window sampler to every simulation cell, one window per N instructions (observe-only: rendered output is byte-identical with it on or off)")
 		stepMode = flag.String("stepmode", "", "engine core for every cell: skipahead (next-event) or reference (cycle-by-cycle); empty defers to SPECFETCH_STEPMODE, then skipahead. Output bytes are identical either way")
-		benchOut = flag.String("bench-out", "", "write per-builder host-side performance aggregates as BENCH JSON to this file (input for perfdiff)")
-		benchLbl = flag.String("bench-label", "paperbench", "label recorded in the -bench-out report")
 		hostTr   = flag.String("host-trace", "", "write host-side spans (workers x cells, plus remote fleet tracks with -remote-workers) as a Chrome trace JSON to this file")
 		sweepLog = flag.String("sweep-log", "", "persist the structured sweep decision log (dispatch/retry/backoff/eviction/fallback JSONL) to this file")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -179,12 +171,6 @@ func main() {
 	opt := experiments.Options{
 		Insts: *insts, Metrics: reg, Spans: spans,
 		Workers: *workers, AuditSample: *auditSmp,
-	}
-	if *sampleIv > 0 {
-		// Sampler-enabled perf runs: every cell carries a window series
-		// probe so the BENCH report prices the interval layer's overhead.
-		opt.SampleInterval = *sampleIv
-		opt.CaptureWindows = true
 	}
 	if *stepMode != "" {
 		mode, err := core.ParseStepMode(*stepMode)
@@ -281,26 +267,12 @@ func main() {
 		}
 	}
 
-	// collect runs one builder under a host-side span section, times it, and
-	// aggregates the spans it produced into a benchfmt.Builder. Aggregation
-	// only writes to stderr and the BENCH report — never stdout.
-	var builders []benchfmt.Builder
+	// collect runs one builder under its own host-side span section, so the
+	// -host-trace spans group by builder.
 	collect := func(name string, build func() error) {
 		stage.Store(name)
 		spans.SetSection(name)
-		lo := spans.Len()
-		start := hosttime.Now()
-		err := build()
-		wall := hosttime.Since(start).Seconds()
-		run(err)
-		cellSpans := spans.Spans()[lo:]
-		cellSecs := make([]float64, len(cellSpans))
-		var allocs uint64
-		for i, sp := range cellSpans {
-			cellSecs[i] = sp.Dur.Seconds()
-			allocs += sp.Allocs
-		}
-		builders = append(builders, benchfmt.NewBuilder(name, wall, cellSecs, allocs))
+		run(build())
 	}
 
 	newline := func() {
@@ -423,30 +395,6 @@ func main() {
 		emitFigure(fmt.Sprintf("figure %d", *figure), fn)
 	}
 
-	report := benchfmt.Report{
-		Label:        *benchLbl,
-		GoVersion:    runtime.Version(),
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Workers:      *workers,
-		InstsPerCell: *insts,
-		Builders:     builders,
-	}
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "paperbench: host-side summary (%s, GOMAXPROCS %d, workers %d):\n",
-			report.GoVersion, report.GOMAXPROCS, report.Workers)
-		for _, b := range report.Builders {
-			fmt.Fprintf(os.Stderr,
-				"paperbench:   %-24s %4d cells in %8.3fs (%7.1f cells/sec)  p50 %.4fs p95 %.4fs p99 %.4fs  %d allocs\n",
-				b.Name, b.Cells, b.WallSeconds, b.CellsPerSec,
-				b.P50Seconds, b.P95Seconds, b.P99Seconds, b.Allocs)
-		}
-	}
-	if *benchOut != "" {
-		if err := benchfmt.WriteFile(*benchOut, report); err != nil {
-			run(fmt.Errorf("bench-out: %v", err))
-		}
-		fmt.Fprintf(os.Stderr, "paperbench: wrote BENCH report to %s\n", *benchOut)
-	}
 	if *hostTr != "" {
 		f, err := os.Create(*hostTr)
 		if err != nil {

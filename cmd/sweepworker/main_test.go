@@ -197,7 +197,7 @@ func TestTelemetryNeutralDifferential(t *testing.T) {
 		if got := renderSweep(t, loud); got != want {
 			t.Errorf("Workers=%d sweep bytes change with telemetry enabled", workers)
 		}
-		if loud.Spans.Len() == 0 {
+		if len(loud.Spans.Spans()) == 0 {
 			t.Errorf("Workers=%d: telemetry was supposedly on but recorded no spans", workers)
 		}
 	}

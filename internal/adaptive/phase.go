@@ -119,11 +119,19 @@ type Phase struct {
 	probeI  [2]int
 }
 
+// maxPhasePeriod bounds the period, which sizes the per-position tables:
+// a strategy name arrives from the wire, and "phase:1000000000000" must be
+// an error, not an allocation. The largest period in-repo code uses is 100.
+const maxPhasePeriod = 1 << 16
+
 // NewPhase builds the flush-phase chooser for a phase of period windows
 // (the flush interval divided by the adapt interval, at least 2).
 func NewPhase(period int64) (*Phase, error) {
 	if period < 2 {
 		return nil, fmt.Errorf("adaptive: phase period %d: need at least 2 windows per flush period", period)
+	}
+	if period > maxPhasePeriod {
+		return nil, fmt.Errorf("adaptive: phase period %d over the limit %d", period, maxPhasePeriod)
 	}
 	a := arms()
 	cl := (period + 2) / 3

@@ -73,7 +73,7 @@ func TestPhaseParse(t *testing.T) {
 			t.Errorf("New(%q).First() = %v, want %v", name, got, core.Policies()[0])
 		}
 	}
-	for _, bad := range []string{"phase:", "phase:x", "phase:0", "phase:1", "phase:-3", "phase:6.5"} {
+	for _, bad := range []string{"phase:", "phase:x", "phase:0", "phase:1", "phase:-3", "phase:6.5", "phase:1000000000000"} {
 		if _, err := New(bad, 0); err == nil {
 			t.Errorf("New(%q) accepted", bad)
 		} else if !strings.Contains(err.Error(), "period") {

@@ -479,6 +479,40 @@ func TestServerBodyLimit(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedJobs: a job outside the resource envelope is a
+// permanent 422 naming the job, and the Runner never sees it.
+func TestServerRejectsOversizedJobs(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(NewServer(ServerOptions{
+		Runner: func(spec JobSpec) (JobResult, error) {
+			calls.Add(1)
+			return fakeResult(spec), nil
+		},
+	}).Handler())
+	t.Cleanup(srv.Close)
+	for name, spec := range oversizedJobs() {
+		b := fixtureBatch()
+		b.Jobs = []JobSpec{b.Jobs[1], spec}
+		raw, err := json.Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/v1/run", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("post: %v", err)
+		}
+		var eb ErrorBody
+		_ = json.NewDecoder(resp.Body).Decode(&eb)
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || eb.Job != 1 {
+			t.Errorf("%s: status %d job %d, want 422 for job 1", name, resp.StatusCode, eb.Job)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Errorf("Runner called %d times for refused batches", n)
+	}
+}
+
 // logEvents filters a logger's flight recorder down to one event type.
 func logEvents(l *sweeplog.Logger, ev string) []string {
 	var out []string

@@ -155,10 +155,86 @@ type JobSpec struct {
 	CaptureWindows bool          `json:"capture_windows,omitempty"`
 }
 
+// The resource envelope: upper bounds on the job fields that size an
+// allocation on the worker. Each is at least 16x the largest value any
+// in-repo sweep, example or benchmark workload sends (noted per bound), so
+// a legitimate job never meets one, while a job that would exhaust the
+// worker's memory is a permanent error instead. Only JobSpec.Validate
+// checks them; in-process sweeps are not bounded.
+const (
+	maxCacheBytes  = 4 << 20 // ICache and L2 SizeBytes; largest sent: 64 KiB
+	maxVictimLines = 1024    // largest sent: 16
+	maxRASDepth    = 1024    // largest sent: 32
+	maxMSHRs       = 1024    // largest sent: 4
+	maxStreamDepth = 1024    // largest sent: 4
+	maxUnresolved  = 1024    // largest sent: 4
+	maxFetchWidth  = 1024    // largest sent: 8
+	maxNumFuncs    = 1 << 15 // largest sent: 1600 (web)
+	maxSegments    = 1024    // SegmentsPerFunc[1]; largest sent: 42 (fpppp)
+	maxFanout      = 256     // IndirectFanout; largest sent: 8 (gcc)
+	maxDriverSites = 1 << 14 // DriverCallSites; largest sent: 600 (web)
+	maxCallDepth   = 256     // largest sent: 6
+	maxStaticInsts = 1 << 24 // staticInsts estimate; largest sent: ~871k (web)
+	maxWindows     = 1 << 18 // Insts/SampleInterval with capture; largest sent: 8000
+)
+
+// staticInsts is a coarse upper estimate of the program a profile builds:
+// every segment (and driver call site) at its widest shape — a switch over
+// IndirectFanout cases, a loop body scaled by LoopBodyMul, or a five-block
+// if/else — of mean-length blocks. The per-field bounds alone do not bound
+// the product.
+func staticInsts(p synth.Profile) float64 {
+	segs := float64(p.NumFuncs)*float64(p.SegmentsPerFunc[1]) + float64(p.DriverCallSites)
+	return segs * (p.MeanBlockLen + 1) * max(5, float64(p.IndirectFanout)+2, p.LoopBodyMul+2)
+}
+
+// checkEnvelope rejects a spec outside the resource envelope. It runs
+// after the profile and config validated, so every value is non-negative.
+func (s JobSpec) checkEnvelope() error {
+	type bound struct {
+		name     string
+		val, max int64
+	}
+	c, p := s.Config, s.Profile
+	bounds := []bound{
+		{"icache.size_bytes", int64(c.ICache.SizeBytes), maxCacheBytes},
+		{"icache.victim_lines", int64(c.ICache.VictimLines), maxVictimLines},
+		{"ras_depth", int64(c.RASDepth), maxRASDepth},
+		{"mshrs", int64(c.MSHRs), maxMSHRs},
+		{"stream_depth", int64(c.StreamDepth), maxStreamDepth},
+		{"max_unresolved", int64(c.MaxUnresolved), maxUnresolved},
+		{"fetch_width", int64(c.FetchWidth), maxFetchWidth},
+		{"profile.NumFuncs", int64(p.NumFuncs), maxNumFuncs},
+		{"profile.SegmentsPerFunc[1]", int64(p.SegmentsPerFunc[1]), maxSegments},
+		{"profile.IndirectFanout", int64(p.IndirectFanout), maxFanout},
+		{"profile.DriverCallSites", int64(p.DriverCallSites), maxDriverSites},
+		{"profile.CallDepth", int64(p.CallDepth), maxCallDepth},
+	}
+	if c.L2 != nil {
+		bounds = append(bounds,
+			bound{"l2.size_bytes", int64(c.L2.SizeBytes), maxCacheBytes},
+			bound{"l2.victim_lines", int64(c.L2.VictimLines), maxVictimLines})
+	}
+	for _, b := range bounds {
+		if b.val > b.max {
+			return fmt.Errorf("distsweep: %s %d exceeds the worker limit %d", b.name, b.val, b.max)
+		}
+	}
+	if est := staticInsts(p); est > maxStaticInsts {
+		return fmt.Errorf("distsweep: profile %s builds up to ~%.3g static instructions, over the worker limit %d",
+			p.Name, est, maxStaticInsts)
+	}
+	if s.CaptureWindows && s.Insts/c.SampleInterval > maxWindows {
+		return fmt.Errorf("distsweep: %d insts at sample_interval %d capture over the worker limit of %d windows",
+			s.Insts, c.SampleInterval, maxWindows)
+	}
+	return nil
+}
+
 // Validate rejects specs a worker could not run: bad profiles, bad
-// configs, unknown predictor kinds, non-positive budgets. Workers validate
-// before running so malformed specs come back as permanent (4xx) errors
-// instead of burning retries.
+// configs, unknown predictor kinds, non-positive budgets, and jobs outside
+// the resource envelope. Workers validate before running so malformed
+// specs come back as permanent (4xx) errors instead of burning retries.
 func (s JobSpec) Validate() error {
 	if err := s.Profile.Validate(); err != nil {
 		return err
@@ -179,6 +255,9 @@ func (s JobSpec) Validate() error {
 	}
 	if s.CaptureWindows && s.Config.SampleInterval <= 0 {
 		return fmt.Errorf("distsweep: capture_windows requires a positive sample_interval")
+	}
+	if err := s.checkEnvelope(); err != nil {
+		return err
 	}
 	if s.Config.Policy == core.Adaptive {
 		// The worker will rebuild the chooser from the strategy name, so an

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"specfetch/internal/adaptive"
@@ -397,6 +398,56 @@ func TestJobSpecValidate(t *testing.T) {
 	bad.Config.AdaptStrategy = "tournament" // on a non-adaptive policy
 	if err := bad.Validate(); err == nil {
 		t.Error("strategy on a static-policy spec accepted")
+	}
+}
+
+// oversizedJobs are specs that validate in every respect but one field
+// that would size a worker allocation far past the resource envelope.
+func oversizedJobs() map[string]JobSpec {
+	edit := func(f func(*JobSpec)) JobSpec {
+		s := fixtureBatch().Jobs[1]
+		f(&s)
+		return s
+	}
+	return map[string]JobSpec{
+		"icache.size_bytes":   edit(func(s *JobSpec) { s.Config.ICache.SizeBytes = 1 << 40 }),
+		"icache.victim_lines": edit(func(s *JobSpec) { s.Config.ICache.VictimLines = 1 << 40 }),
+		"ras_depth":           edit(func(s *JobSpec) { s.Config.RASDepth = 1 << 40 }),
+		"profile.NumFuncs":    edit(func(s *JobSpec) { s.Profile.NumFuncs = 1 << 30 }),
+	}
+}
+
+// TestJobSpecEnvelope: each oversized job is refused by Validate, and the
+// in-repo extremes still validate.
+func TestJobSpecEnvelope(t *testing.T) {
+	for name, spec := range oversizedJobs() {
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s: oversized job accepted", name)
+		} else if !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: error %q does not name the field", name, err)
+		}
+	}
+	edge := fixtureBatch().Jobs[0]
+	edge.Config.ICache.SizeBytes = maxCacheBytes
+	edge.Config.RASDepth = maxRASDepth
+	edge.CaptureWindows = true
+	edge.Insts = maxWindows * edge.Config.SampleInterval
+	if err := edge.Validate(); err != nil {
+		t.Errorf("job at the limits rejected: %v", err)
+	}
+	edge.Insts += edge.Config.SampleInterval
+	if err := edge.Validate(); err == nil {
+		t.Error("job capturing one window past the limit accepted")
+	}
+	for _, p := range append(synth.Profiles(), synth.ModernProfiles()...) {
+		if est := staticInsts(p); est*16 > maxStaticInsts {
+			t.Errorf("%s: static estimate %.0f within 16x of the limit", p.Name, est)
+		}
+	}
+	big := fixtureBatch().Jobs[1]
+	big.Profile.MeanBlockLen = 1e12
+	if err := big.Validate(); err == nil {
+		t.Error("profile with 1e12-instruction blocks accepted")
 	}
 }
 

@@ -50,26 +50,15 @@ type Options struct {
 	// executor. Reduction order is unchanged, so rendered bytes are
 	// invariant in process count exactly as they are in worker count.
 	Dispatch *distsweep.Coordinator
-	// SampleInterval, when positive, stamps Config.SampleInterval onto every
-	// cell so attached samplers (and CaptureWindows) see fixed
-	// instruction-count boundaries. Like AuditSample it is observe-only:
-	// simulated results are bit-identical with it on or off.
-	SampleInterval int64
 	// FlushInterval, when positive, stamps Config.FlushInterval onto the
 	// cells of the studies that honor it (the oracle selector and the
 	// adaptive study): the I-cache is invalidated every FlushInterval
 	// correct-path instructions, modeling periodic context switches. Unlike
-	// SampleInterval this is NOT observe-only — it changes simulated
+	// window capture this is NOT observe-only — it changes simulated
 	// results — which is why it only applies to the studies whose question
 	// ("does adaptation pay under phased behavior?") it defines. Zero keeps
 	// every cache warm for the whole run, the historical behavior.
 	FlushInterval int64
-	// CaptureWindows returns each cell's per-interval window series
-	// (obs.WindowRecord) alongside its Result — the raw material of the
-	// interval-analytics builders. Requires a positive SampleInterval. The
-	// capture crosses the distsweep wire as a flag on the JobSpec, so
-	// window-carrying sweeps still dispatch to remote fleets.
-	CaptureWindows bool
 	// StepMode selects the engine's time-advance strategy for every cell:
 	// the skip-ahead event core (the zero value) or the cycle-by-cycle
 	// reference stepper. The two produce bit-identical results (see
@@ -78,6 +67,14 @@ type Options struct {
 	// variable ("skipahead"/"reference") applies — the CI matrix uses it to
 	// run the golden suite under both cores without code changes.
 	StepMode core.StepMode
+	// windowInterval, when positive, stamps Config.SampleInterval onto every
+	// cell and returns each cell's per-interval window series
+	// (obs.WindowRecord) alongside its Result — the raw material of the
+	// interval-analytics builders. Capture is observe-only: Results are
+	// bit-identical with it on or off. It crosses the distsweep wire as
+	// JobSpec.CaptureWindows plus the wire config's sample interval, so
+	// window-carrying sweeps still dispatch to remote fleets.
+	windowInterval int64
 }
 
 // envStepMode resolves SPECFETCH_STEPMODE once; an unparsable value panics

@@ -169,8 +169,7 @@ func OracleSelectorData(opt Options, interval int64, penalties []int) (*OracleDa
 	if len(penalties) == 0 {
 		penalties = DefaultOraclePenalties
 	}
-	opt.SampleInterval = interval
-	opt.CaptureWindows = true
+	opt.windowInterval = interval
 	benches, err := buildAll(opt)
 	if err != nil {
 		return nil, err

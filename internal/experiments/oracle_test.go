@@ -148,10 +148,9 @@ func TestOracleJSONLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOracleLayerDisabledNeutral: a plain sweep's results are bit-identical
-// with the interval layer absent and present-but-disabled, and a
-// window-capturing sweep's Results match a plain sweep's — capture is
-// observe-only.
+// TestOracleLayerDisabledNeutral: a sweep's Results are bit-identical with
+// window capture off (no windows come back) and on (every cell returns
+// windows) — capture is observe-only.
 func TestOracleLayerDisabledNeutral(t *testing.T) {
 	opt := oracleOpt()
 	opt.Workers = 1
@@ -170,11 +169,9 @@ func TestOracleLayerDisabledNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sampled := opt
-	sampled.SampleInterval = oracleTestInterval
-	capturing := sampled
-	capturing.CaptureWindows = true
-	for name, o := range map[string]Options{"sampled": sampled, "capturing": capturing} {
+	for name, iv := range map[string]int64{"plain": 0, "capturing": oracleTestInterval} {
+		o := opt
+		o.windowInterval = iv
 		full, err := runCellsFull(o, cells)
 		if err != nil {
 			t.Fatal(err)
@@ -183,28 +180,10 @@ func TestOracleLayerDisabledNeutral(t *testing.T) {
 			if !reflect.DeepEqual(full[i].res, plain[i]) {
 				t.Fatalf("%s run changed cell %d's Result", name, i)
 			}
-		}
-		if name == "capturing" {
-			for i := range cells {
-				if len(full[i].windows) == 0 {
-					t.Fatalf("capturing run returned no windows for cell %d", i)
-				}
-			}
-		} else {
-			for i := range cells {
-				if full[i].windows != nil {
-					t.Fatalf("non-capturing run returned windows for cell %d", i)
-				}
+			if captured := len(full[i].windows) > 0; captured != (iv > 0) {
+				t.Fatalf("%s run: cell %d returned %d windows", name, i, len(full[i].windows))
 			}
 		}
-	}
-
-	// CaptureWindows without an interval is a loud error, not a silent
-	// no-window sweep.
-	bad := opt
-	bad.CaptureWindows = true
-	if _, err := runCellsFull(bad, cells[:1]); err == nil {
-		t.Error("CaptureWindows without SampleInterval accepted")
 	}
 }
 

@@ -28,11 +28,12 @@ func specForCell(opt Options, c runCell) (distsweep.JobSpec, bool) {
 	// the wire: the worker runs whatever mode the coordinator resolved, not
 	// its own environment default.
 	cfg.StepMode = opt.stepMode()
-	// The sampling interval travels inside the wire config (it is part of
-	// the machine configuration); window capture travels as a JobSpec flag,
-	// so a capturing cell stays probe-free and serializable.
-	if opt.SampleInterval > 0 {
-		cfg.SampleInterval = opt.SampleInterval
+	// The window width travels inside the wire config as the sampling
+	// interval (it is part of the machine configuration); window capture
+	// travels as a JobSpec flag, so a capturing cell stays probe-free and
+	// serializable.
+	if opt.windowInterval > 0 {
+		cfg.SampleInterval = opt.windowInterval
 	}
 	wc, err := distsweep.FromConfig(cfg)
 	if err != nil {
@@ -45,7 +46,7 @@ func specForCell(opt Options, c runCell) (distsweep.JobSpec, bool) {
 		Insts:          opt.Insts,
 		Pred:           c.pred,
 		AuditSample:    opt.AuditSample,
-		CaptureWindows: opt.CaptureWindows,
+		CaptureWindows: opt.windowInterval > 0,
 	}, true
 }
 
@@ -153,9 +154,11 @@ func (r *JobRunner) Run(spec distsweep.JobSpec) (distsweep.JobResult, error) {
 		// threading it through Options keeps simulateCell's stamp from
 		// replacing it with this worker's environment default.
 		StepMode: cell.cfg.StepMode,
-		// Window capture crosses the wire as a spec flag (the sampling
-		// interval is already inside the wire config).
-		CaptureWindows: spec.CaptureWindows,
+	}
+	if spec.CaptureWindows {
+		// Window capture crosses the wire as a spec flag; the width is the
+		// wire config's sampling interval (Validate requires it positive).
+		opt.windowInterval = cell.cfg.SampleInterval
 	}
 	res, wins, err := simulateCell(cell, opt, nil, nil)
 	if err != nil {

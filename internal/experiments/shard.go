@@ -166,7 +166,7 @@ func newCell(b *synth.Bench, cfg core.Config) runCell {
 }
 
 // cellOut pairs one cell's Result with its captured window series (nil
-// unless Options.CaptureWindows was set).
+// unless Options.windowInterval was set).
 type cellOut struct {
 	res     core.Result
 	windows []obs.WindowRecord
@@ -263,8 +263,8 @@ func spanEnd(opt Options, sp obs.SpanHandle) {
 // accounting identities are verified before the result is accepted. rd,
 // when non-nil, is a replay cursor over the cell's shared stream;
 // arena, when non-nil, donates storage from earlier cells on the same
-// worker. Both are behaviour-neutral. With Options.CaptureWindows set
-// (which requires a positive sample interval) the run carries an
+// worker. Both are behaviour-neutral. With a positive
+// Options.windowInterval the run samples at that width, carries an
 // obs.WindowSeries and the records come back as the second return; a
 // sample-only series attached alone keeps the engine's bulk path enabled,
 // so capture costs the interpolated samples and nothing else.
@@ -284,14 +284,9 @@ func simulateCell(c runCell, opt Options, rd trace.Reader, arena *core.Arena) (c
 		}
 		cfg.Chooser = ch
 	}
-	if opt.SampleInterval > 0 {
-		cfg.SampleInterval = opt.SampleInterval
-	}
 	var win *obs.WindowSeries
-	if opt.CaptureWindows {
-		if cfg.SampleInterval <= 0 {
-			return core.Result{}, nil, fmt.Errorf("experiments: CaptureWindows requires a positive SampleInterval")
-		}
+	if opt.windowInterval > 0 {
+		cfg.SampleInterval = opt.windowInterval
 		win = obs.NewWindowSeries()
 		if cfg.Probe != nil {
 			cfg.Probe = obs.Multi(cfg.Probe, win)

@@ -12,9 +12,10 @@ import (
 // *simulated machine* in cycles, SpanTracer observes the *simulator* in
 // host time. The shard executor wraps each unit of sweep work (one
 // simulation cell, or one per-benchmark row) in a span recording its wall
-// time, the worker that ran it, and the heap allocations it performed; paperbench
-// aggregates the spans into per-builder latency histograms and a BENCH
-// report, and CombinedTrace renders them as a workers-×-cells Perfetto
+// time, the worker that ran it, and the heap allocations it performed;
+// paperbench labels them with the builder being run (SetSection), the
+// experiments pool feeds their durations to the specfetch_cell_seconds
+// histogram, and CombinedTrace renders them as a workers-×-cells Perfetto
 // timeline.
 //
 // All clock reads go through internal/hosttime (the determinism analyzer's
@@ -137,17 +138,6 @@ func (t *SpanTracer) Spans() []HostSpan {
 	out := make([]HostSpan, len(t.spans))
 	copy(out, t.spans)
 	return out
-}
-
-// Len returns the number of completed spans; paperbench snapshots it around
-// each builder to attribute spans without copying.
-func (t *SpanTracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
 }
 
 // heapAllocs returns the process-cumulative count of heap objects
