@@ -3,8 +3,8 @@
 // flags it additionally records the run: -events dumps the probe event
 // stream as JSONL, -timeline renders a Chrome trace-event (Perfetto)
 // timeline with interval counter tracks (ISPI, miss rate, bus occupancy,
-// per-component stalls) merged in, and -series samples an interval
-// time-series of ISPI, miss rate, and bus occupancy.
+// per-component stalls) merged in, and -series writes the run's window
+// series as one v1 interval line (render it with `intervals [-csv]`).
 //
 // Usage:
 //
@@ -13,7 +13,7 @@
 //	fetchsim -bench porky -policy adaptive -strategy phase:6 -adapt-interval 2500 -flush 15000
 //	fetchsim -bench li -policy optimistic -cache 32768 -depth 2
 //	fetchsim -image prog.img -trace prog.trc -policy resume
-//	fetchsim -bench gcc -policy resume -timeline out.json -series ispi.csv
+//	fetchsim -bench gcc -policy resume -timeline out.json -series series.jsonl
 //	fetchsim -bench gcc -policy resume -audit-sample 16
 //	fetchsim -bench gcc -policy resume -cpuprofile cpu.pprof -memprofile mem.pprof
 package main
@@ -26,6 +26,7 @@ import (
 	"runtime/pprof"
 
 	"specfetch"
+	"specfetch/internal/experiments"
 )
 
 func main() {
@@ -51,8 +52,8 @@ func main() {
 
 		eventsPath   = flag.String("events", "", "write the probe event stream as JSONL to this file")
 		timelinePath = flag.String("timeline", "", "write a Chrome trace-event (Perfetto) timeline to this file")
-		seriesPath   = flag.String("series", "", "write the interval time-series to this file (.json extension selects JSON, anything else CSV)")
-		interval     = flag.Int64("interval", 10_000, "instructions per -series sample and -timeline counter window")
+		seriesPath   = flag.String("series", "", "write the run's window series to this file as one v1 interval line (JSONL; view with intervals [-csv])")
+		interval     = flag.Int64("interval", 10_000, "instructions per -series window and -timeline counter window")
 		eventCap     = flag.Int("event-cap", 1<<20, "ring-buffer capacity for -events/-timeline; oldest events drop beyond it")
 		audit        = flag.Bool("audit", false, "attach the runtime accounting auditor; any invariant violation aborts with a cycle-stamped diagnosis")
 		auditSample  = flag.Int("audit-sample", 0, "audit only every Nth pipeline window (1 = every window, implies -audit); the final identities stay exact at any rate")
@@ -139,24 +140,23 @@ func main() {
 		cfg.AdaptSeed = *adaptSeed
 	}
 
-	// Observability: attach a recorder and/or sampler only when asked for,
-	// so the default run keeps the nil-probe fast path.
+	// Observability: attach a recorder and/or window series only when asked
+	// for, so the default run keeps the nil-probe fast path. One window
+	// series feeds both the -timeline counter tracks and the -series line.
 	var rec *specfetch.EventRecorder
-	var samp *specfetch.IntervalSampler
 	var win *specfetch.WindowSeries
 	var probes []specfetch.Probe
 	if *eventsPath != "" || *timelinePath != "" {
 		rec = specfetch.NewEventRecorder(*eventCap)
 		probes = append(probes, rec)
 	}
-	if *timelinePath != "" {
+	if *timelinePath != "" || *seriesPath != "" {
+		if *interval <= 0 {
+			fmt.Fprintf(os.Stderr, "fetchsim: -interval %d: must be positive\n", *interval)
+			os.Exit(1)
+		}
 		win = specfetch.NewWindowSeries()
 		probes = append(probes, win)
-		cfg.SampleInterval = *interval
-	}
-	if *seriesPath != "" {
-		samp = specfetch.NewIntervalSampler()
-		probes = append(probes, samp)
 		cfg.SampleInterval = *interval
 	}
 	var aud *specfetch.AuditProbe
@@ -244,7 +244,8 @@ func main() {
 		}
 	}
 
-	if err := writeArtifacts(rec, samp, win, *eventsPath, *timelinePath, *seriesPath); err != nil {
+	series := experiments.IntervalLine{Bench: benchLabel, Penalty: *penalty, Policy: pol, Interval: *interval}
+	if err := writeArtifacts(rec, win, series, *eventsPath, *timelinePath, *seriesPath); err != nil {
 		fmt.Fprintf(os.Stderr, "fetchsim: %v\n", err)
 		os.Exit(1)
 	}
@@ -259,9 +260,10 @@ func pf(format string, args ...any) {
 	}
 }
 
-// writeArtifacts dumps the requested observability outputs.
-func writeArtifacts(rec *specfetch.EventRecorder, samp *specfetch.IntervalSampler,
-	win *specfetch.WindowSeries, eventsPath, timelinePath, seriesPath string) error {
+// writeArtifacts dumps the requested observability outputs; series labels
+// the -series line, whose windows come from win.
+func writeArtifacts(rec *specfetch.EventRecorder, win *specfetch.WindowSeries,
+	series experiments.IntervalLine, eventsPath, timelinePath, seriesPath string) error {
 	writeTo := func(path string, fn func(f *os.File) error) error {
 		f, err := os.Create(path)
 		if err != nil {
@@ -293,16 +295,13 @@ func writeArtifacts(rec *specfetch.EventRecorder, samp *specfetch.IntervalSample
 			timelinePath, win.Len())
 	}
 	if seriesPath != "" {
-		asJSON := len(seriesPath) > 5 && seriesPath[len(seriesPath)-5:] == ".json"
+		series.Windows = win.Records()
 		if err := writeTo(seriesPath, func(f *os.File) error {
-			if asJSON {
-				return samp.WriteJSON(f)
-			}
-			return samp.WriteCSV(f)
+			return experiments.WriteIntervalLines(f, series)
 		}); err != nil {
 			return err
 		}
-		pf("series                 %s (%d samples)\n", seriesPath, len(samp.Points()))
+		pf("series                 %s (%d windows)\n", seriesPath, win.Len())
 	}
 	return nil
 }

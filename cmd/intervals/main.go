@@ -1,10 +1,17 @@
-// Command intervals renders the oracle-selector report from a window-series
-// JSONL file — the wire form written by `paperbench -oracle -intervals-out`
-// or assembled from distsweep job results with capture_windows set. It
-// regroups the per-policy window series by benchmark and miss penalty,
-// recomputes the per-window winners, and prints the oracle-vs-static
-// crossover table plus the per-window winner map. Reading the JSONL back
-// renders the exact bytes the producing sweep rendered.
+// Command intervals renders a file of v1 interval lines — window series as
+// written by `paperbench -oracle -intervals-out`, by `fetchsim -series`, or
+// assembled from distsweep job results with capture_windows set. The view
+// follows from the input:
+//
+//   - If every benchmark x penalty group holds one line, each line is
+//     printed as a per-window series table: IPC, ISPI, cumulative ISPI,
+//     ISPI per penalty component, miss rate and bus occupancy per window.
+//   - Otherwise the lines are an oracle study. The per-policy window series
+//     are regrouped by benchmark and miss penalty, the per-window winners
+//     recomputed, and the oracle-vs-static crossover table plus the
+//     per-window winner map printed. Every group needs all five static
+//     policies. Reading the JSONL back renders the exact bytes the producing
+//     sweep rendered.
 //
 // Usage:
 //
@@ -12,6 +19,7 @@
 //	paperbench -oracle -quiet -intervals-out /dev/stdout >/dev/null | intervals
 //	intervals -csv intervals.jsonl
 //	intervals -winners-only intervals.jsonl
+//	fetchsim -bench gcc -series series.jsonl && intervals -csv series.jsonl
 package main
 
 import (
@@ -24,8 +32,8 @@ import (
 )
 
 func main() {
-	csv := flag.Bool("csv", false, "emit the crossover table as CSV instead of aligned text")
-	winnersOnly := flag.Bool("winners-only", false, "print only the per-window winner map")
+	csv := flag.Bool("csv", false, "emit the crossover or series tables as CSV instead of aligned text")
+	winnersOnly := flag.Bool("winners-only", false, "print only the per-window winner map (oracle studies only)")
 	flag.Parse()
 
 	var in io.Reader = os.Stdin
@@ -40,11 +48,25 @@ func main() {
 		defer func() { _ = f.Close() }() // read side; nothing to lose on close
 		in = f
 	default:
-		fmt.Fprintln(os.Stderr, "usage: intervals [-csv] [-winners-only] [file.jsonl]")
-		os.Exit(2)
+		usage()
 	}
 
-	d, err := experiments.ReadOracleJSONL(in)
+	lines, err := experiments.ReadIntervalLines(in)
+	if err != nil {
+		fatal(err)
+	}
+	if onePerGroup(lines) {
+		if *winnersOnly {
+			fmt.Fprintln(os.Stderr, "intervals: -winners-only needs an oracle study (five policies per benchmark and penalty)")
+			usage()
+		}
+		if err := printSeries(lines, *csv); err != nil {
+			fatal(err)
+		}
+		return
+	}
+
+	d, err := experiments.OracleFromLines(lines)
 	if err != nil {
 		fatal(err)
 	}
@@ -65,6 +87,58 @@ func main() {
 	if _, err := fmt.Print(d.WinnerMap()); err != nil {
 		fatal(err)
 	}
+}
+
+// onePerGroup reports whether no two lines share a benchmark and penalty,
+// which makes the file a set of single-run series rather than an oracle
+// study.
+func onePerGroup(lines []experiments.IntervalLine) bool {
+	type key struct {
+		bench string
+		pen   int
+	}
+	seen := map[key]bool{}
+	for _, l := range lines {
+		k := key{l.Bench, l.Penalty}
+		if seen[k] {
+			return false
+		}
+		seen[k] = true
+	}
+	return true
+}
+
+// printSeries prints each line's series table, separated by blank lines.
+// The text view heads each table with the line's labels; the CSV view is
+// bare, so a one-line file renders as a single CSV document.
+func printSeries(lines []experiments.IntervalLine, csv bool) error {
+	for i, l := range lines {
+		if i > 0 {
+			if _, err := fmt.Println(); err != nil {
+				return err
+			}
+		}
+		t := experiments.SeriesTable(l.Windows)
+		if csv {
+			if err := t.RenderCSV(os.Stdout); err != nil {
+				return err
+			}
+			continue
+		}
+		if _, err := fmt.Printf("Window series: %s @ %dc, %s (window = %d insts)\n",
+			l.Bench, l.Penalty, l.Policy, l.Interval); err != nil {
+			return err
+		}
+		if err := t.Render(os.Stdout); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func usage() {
+	fmt.Fprintln(os.Stderr, "usage: intervals [-csv] [-winners-only] [file.jsonl]")
+	os.Exit(2)
 }
 
 func fatal(err error) {

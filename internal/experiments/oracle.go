@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -267,76 +265,42 @@ func (d *OracleData) WinnerMap() string {
 	return b.String()
 }
 
-// intervalLine is the JSONL record cmd/intervals consumes: one line per
-// benchmark x penalty x policy, carrying that run's full window series. The
-// v field lets readers reject records from a future incompatible schema.
-type intervalLine struct {
-	V        int                `json:"v"`
-	Bench    string             `json:"bench"`
-	Penalty  int                `json:"penalty"`
-	Policy   core.Policy        `json:"policy"`
-	Interval int64              `json:"interval"`
-	Windows  []obs.WindowRecord `json:"windows"`
-}
-
-// intervalLineVersion is the JSONL schema version WriteJSONL stamps.
-const intervalLineVersion = 1
-
-// WriteJSONL streams the study as line-delimited JSON, one line per
-// benchmark x penalty x policy in canonical order — the wire between a
-// sweep process and the cmd/intervals report tool.
+// WriteJSONL streams the study as interval lines, one per benchmark x
+// penalty x policy in canonical order — the wire between a sweep process
+// and the cmd/intervals report tool.
 func (d *OracleData) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var lines []IntervalLine
 	for _, r := range d.Rows {
 		for _, pol := range core.Policies() {
-			if err := enc.Encode(intervalLine{
-				V:        intervalLineVersion,
+			lines = append(lines, IntervalLine{
 				Bench:    r.Bench,
 				Penalty:  r.Penalty,
 				Policy:   pol,
 				Interval: d.Interval,
 				Windows:  r.Series[pol],
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	return bw.Flush()
+	return WriteIntervalLines(w, lines...)
 }
 
-// ReadOracleJSONL rebuilds an OracleData from its JSONL form, regrouping
-// lines by benchmark and penalty and recomputing the winners. Rows come
-// back in first-appearance order, so a file written by WriteJSONL round
-// trips to the same tables.
-func ReadOracleJSONL(r io.Reader) (*OracleData, error) {
+// OracleFromLines rebuilds an OracleData from parsed interval lines,
+// regrouping them by benchmark and penalty and recomputing the winners.
+// Every group needs a series for each of the five static policies. Rows
+// come back in first-appearance order, so a file written by WriteJSONL
+// round trips to the same tables.
+func OracleFromLines(lines []IntervalLine) (*OracleData, error) {
+	if len(lines) == 0 {
+		return nil, fmt.Errorf("intervals jsonl: no records")
+	}
 	type key struct {
 		bench string
 		pen   int
 	}
-	d := &OracleData{}
+	d := &OracleData{Interval: lines[0].Interval}
 	rows := map[key]*OracleRow{}
 	var order []key
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(strings.TrimSpace(sc.Text())) == 0 {
-			continue
-		}
-		var l intervalLine
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			return nil, fmt.Errorf("intervals jsonl line %d: %w", line, err)
-		}
-		if l.V != intervalLineVersion {
-			return nil, fmt.Errorf("intervals jsonl line %d: schema v%d, want v%d", line, l.V, intervalLineVersion)
-		}
-		if d.Interval == 0 {
-			d.Interval = l.Interval
-		} else if l.Interval != d.Interval {
-			return nil, fmt.Errorf("intervals jsonl line %d: mixed intervals %d and %d", line, l.Interval, d.Interval)
-		}
+	for _, l := range lines {
 		k := key{l.Bench, l.Penalty}
 		row, ok := rows[k]
 		if !ok {
@@ -345,15 +309,9 @@ func ReadOracleJSONL(r io.Reader) (*OracleData, error) {
 			order = append(order, k)
 		}
 		if _, dup := row.Series[l.Policy]; dup {
-			return nil, fmt.Errorf("intervals jsonl line %d: duplicate series for %s@%d %v", line, l.Bench, l.Penalty, l.Policy)
+			return nil, fmt.Errorf("intervals jsonl line %d: duplicate series for %s@%d %v", l.line, l.Bench, l.Penalty, l.Policy)
 		}
 		row.Series[l.Policy] = l.Windows
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(order) == 0 {
-		return nil, fmt.Errorf("intervals jsonl: no records")
 	}
 	pens := map[int]bool{}
 	for _, k := range order {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -112,8 +113,18 @@ func TestOracleBytesIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
+// readOracle parses interval JSONL and regroups it into an oracle study.
+func readOracle(s string) (*OracleData, error) {
+	lines, err := ReadIntervalLines(strings.NewReader(s))
+	if err != nil {
+		return nil, err
+	}
+	return OracleFromLines(lines)
+}
+
 // TestOracleJSONLRoundTrip: the JSONL wire form rebuilds the same rows,
-// winners, and rendered report.
+// winners, and rendered report, and malformed or incomplete files are
+// rejected.
 func TestOracleJSONLRoundTrip(t *testing.T) {
 	opt := oracleOpt()
 	opt.Workers = 1
@@ -125,7 +136,7 @@ func TestOracleJSONLRoundTrip(t *testing.T) {
 	if err := d.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadOracleJSONL(bytes.NewReader(b.Bytes()))
+	back, err := readOracle(b.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +151,24 @@ func TestOracleJSONLRoundTrip(t *testing.T) {
 		back.WinnerMap() != d.WinnerMap() {
 		t.Error("JSONL round trip changed the rendered report")
 	}
-	if _, err := ReadOracleJSONL(strings.NewReader("")); err == nil {
-		t.Error("empty JSONL accepted")
+
+	jsonl := strings.SplitAfter(b.String(), "\n")
+	line := func(policy int, interval int64) string {
+		return fmt.Sprintf(`{"v":1,"bench":"gcc","penalty":5,"policy":%d,"interval":%d,"windows":[]}`+"\n", policy, interval)
 	}
-	if _, err := ReadOracleJSONL(strings.NewReader(`{"v":99}`)); err == nil {
-		t.Error("future schema version accepted")
+	for _, tc := range []struct{ name, in, want string }{
+		{"empty", "", "no records"},
+		{"future schema", `{"v":99}`, "line 1: schema v99"},
+		{"zero first interval", line(0, 0) + line(1, 100) + line(2, 100), "line 1: interval 0"},
+		{"mixed intervals", line(0, 100) + line(1, 200), "line 2: mixed intervals"},
+		{"unknown policy", line(0, 100) + "\n" + line(42, 100), "line 3: unknown policy 42"},
+		{"negative policy", line(-1, 100), "line 1: unknown policy -1"},
+		{"missing policy", strings.Join(jsonl[1:], ""), "no series for policy oracle"},
+		{"duplicate series", jsonl[0] + jsonl[0], "line 2: duplicate series"},
+	} {
+		if _, err := readOracle(tc.in); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -71,27 +71,19 @@ func renderWindowPlane(t *testing.T, opt Options, probe obs.Probe) string {
 }
 
 // windowPlaneBytes flattens every consumer of the per-window digest into
-// one byte string: the interval sampler's CSV and JSON, the window series'
-// records, the chooser's decision inputs, and the adaptive study render.
+// one byte string: the series table's CSV (the section name predates it),
+// the window series' records, the chooser's decision inputs, and the
+// adaptive study render.
 func windowPlaneBytes(t *testing.T, mode core.StepMode) string {
 	t.Helper()
 	opt := windowPlaneOpt(mode)
 	var b bytes.Buffer
 
-	sampler := obs.NewIntervalSampler()
-	decisions := renderWindowPlane(t, opt, sampler)
-	b.WriteString("== interval sampler csv\n")
-	if err := sampler.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	b.WriteString("== interval sampler json\n")
-	if err := sampler.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-
 	series := obs.NewWindowSeries()
-	if again := renderWindowPlane(t, opt, series); again != decisions {
-		t.Errorf("%v: chooser inputs depend on which sample-only probe is attached", mode)
+	decisions := renderWindowPlane(t, opt, series)
+	b.WriteString("== interval sampler csv\n")
+	if err := SeriesTable(series.Records()).RenderCSV(&b); err != nil {
+		t.Fatal(err)
 	}
 	b.WriteString("== window series records\n")
 	recs, err := json.Marshal(series.Records())

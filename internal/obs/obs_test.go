@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"math"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -115,20 +114,6 @@ func TestRecorderWraparound(t *testing.T) {
 	}
 }
 
-func TestRecorderDisable(t *testing.T) {
-	r := NewEventRecorder(64)
-	r.Disable(EvFetchCycle, EventType(250)) // out-of-range type is ignored
-	drive(r)
-	for _, ev := range r.Events() {
-		if ev.Type == EvFetchCycle {
-			t.Fatal("disabled fetch_cycle event recorded")
-		}
-	}
-	if got := len(r.Events()); got != driveEvents-1 {
-		t.Errorf("recorded %d events, want %d", got, driveEvents-1)
-	}
-}
-
 func TestRecorderJSONLRoundTrip(t *testing.T) {
 	r := NewEventRecorder(64)
 	drive(r)
@@ -139,11 +124,17 @@ func TestRecorderJSONLRoundTrip(t *testing.T) {
 	var back []Event
 	sc := bufio.NewScanner(&buf)
 	for sc.Scan() {
-		var ev Event
+		var ev struct {
+			V int `json:"v"`
+			Event
+		}
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("line %q: %v", sc.Text(), err)
 		}
-		back = append(back, ev)
+		if ev.V != 1 {
+			t.Fatalf("line %q: schema v%d, want v1", sc.Text(), ev.V)
+		}
+		back = append(back, ev.Event)
 	}
 	if !reflect.DeepEqual(back, r.Events()) {
 		t.Errorf("JSONL round trip diverged:\n got %+v\nwant %+v", back, r.Events())
@@ -163,7 +154,7 @@ func TestMultiFanOut(t *testing.T) {
 	}
 
 	r2 := NewEventRecorder(64)
-	s := NewIntervalSampler()
+	s := NewWindowSeries()
 	m := Multi(r, r2, s)
 	drive(m)
 	if got, got2 := len(r.Events()), len(r2.Events()); got != driveEvents || got2 != driveEvents {
@@ -171,8 +162,8 @@ func TestMultiFanOut(t *testing.T) {
 	}
 	// Sample must reach the sampler part through the composite.
 	m.(Sampler).Sample(Snapshot{Cycle: 10, Insts: 4})
-	if len(s.Points()) != 1 {
-		t.Errorf("sampler saw %d points through Multi, want 1", len(s.Points()))
+	if s.Len() != 1 {
+		t.Errorf("sampler saw %d windows through Multi, want 1", s.Len())
 	}
 }
 
@@ -226,146 +217,5 @@ func TestRegistryHandler(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "n 1\n") {
 		t.Errorf("body = %q", rec.Body.String())
-	}
-}
-
-func TestIntervalSamplerPoints(t *testing.T) {
-	s := NewIntervalSampler()
-	// One 10-cycle bus transfer inside the first interval, carried by the
-	// snapshot's cumulative BusBusy counter.
-	var lost1 metrics.Breakdown
-	lost1[metrics.RTICache] = 40
-	s.Sample(Snapshot{Cycle: 100, Insts: 200, Lost: lost1,
-		RightPathAccesses: 50, RightPathMisses: 5, BusTransfers: 1, BusBusy: 10})
-
-	var lost2 metrics.Breakdown
-	lost2[metrics.RTICache] = 40
-	lost2[metrics.Branch] = 60
-	s.Sample(Snapshot{Cycle: 150, Insts: 300, Lost: lost2,
-		RightPathAccesses: 70, RightPathMisses: 5, BusTransfers: 1, BusBusy: 10})
-
-	pts := s.Points()
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
-	}
-	p0 := pts[0]
-	if p0.Insts != 200 || p0.Cycle != 100 {
-		t.Errorf("p0 position = %d/%d", p0.Insts, p0.Cycle)
-	}
-	if want := 200.0 / 100.0; p0.IPC != want {
-		t.Errorf("p0 IPC = %v, want %v", p0.IPC, want)
-	}
-	if want := 40.0 / 200.0; p0.ISPI != want || p0.CompISPI[metrics.RTICache] != want {
-		t.Errorf("p0 ISPI = %v comp %v, want %v", p0.ISPI, p0.CompISPI[metrics.RTICache], want)
-	}
-	if want := 100 * 5.0 / 50.0; p0.MissPct != want {
-		t.Errorf("p0 MissPct = %v, want %v", p0.MissPct, want)
-	}
-	if want := 100 * 10.0 / 100.0; p0.BusOccupancyPct != want {
-		t.Errorf("p0 BusOccupancyPct = %v, want %v", p0.BusOccupancyPct, want)
-	}
-
-	p1 := pts[1]
-	if want := 60.0 / 100.0; p1.ISPI != want || p1.CompISPI[metrics.Branch] != want {
-		t.Errorf("p1 ISPI = %v, want %v", p1.ISPI, want)
-	}
-	if want := lost2.TotalISPI(300); p1.CumISPI != want {
-		t.Errorf("p1 CumISPI = %v, want %v", p1.CumISPI, want)
-	}
-	if p1.MissPct != 0 {
-		t.Errorf("p1 MissPct = %v, want 0 (no new accesses)", p1.MissPct)
-	}
-}
-
-// TestIntervalSamplerRunEndMerge covers the run ending exactly on a sample
-// boundary: the final engine sample adds stall slots but no instructions and
-// must fold into the last point so CumISPI matches the run's total.
-func TestIntervalSamplerRunEndMerge(t *testing.T) {
-	s := NewIntervalSampler()
-	var lost1 metrics.Breakdown
-	lost1[metrics.Branch] = 10
-	s.Sample(Snapshot{Cycle: 100, Insts: 100, Lost: lost1})
-	var lost2 metrics.Breakdown
-	lost2[metrics.Branch] = 10
-	lost2[metrics.WrongICache] = 20
-	s.Sample(Snapshot{Cycle: 110, Insts: 100, Lost: lost2}) // run-end, zero new insts
-
-	pts := s.Points()
-	if len(pts) != 1 {
-		t.Fatalf("got %d points, want 1 (merged)", len(pts))
-	}
-	p := pts[0]
-	if p.Cycle != 110 {
-		t.Errorf("merged point cycle = %d, want 110", p.Cycle)
-	}
-	if want := lost2.TotalISPI(100); p.CumISPI != want {
-		t.Errorf("CumISPI = %v, want %v", p.CumISPI, want)
-	}
-	if want := 30.0 / 100.0; p.ISPI != want {
-		t.Errorf("ISPI = %v, want %v", p.ISPI, want)
-	}
-
-	// An identical snapshot (nothing advanced) must not change anything.
-	s.Sample(Snapshot{Cycle: 110, Insts: 100, Lost: lost2})
-	if got := s.Points(); len(got) != 1 || got[0] != p {
-		t.Errorf("no-op sample changed the series: %+v", got)
-	}
-}
-
-func TestIntervalSamplerCSV(t *testing.T) {
-	s := NewIntervalSampler()
-	var lost metrics.Breakdown
-	lost[metrics.RTICache] = 50
-	s.Sample(Snapshot{Cycle: 75, Insts: 100, Lost: lost, RightPathAccesses: 25, RightPathMisses: 1})
-
-	var buf bytes.Buffer
-	if err := s.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("CSV lines = %d, want 2:\n%s", len(lines), buf.String())
-	}
-	wantHeader := "insts,cycle,ipc,ispi,cum_ispi,ispi_branch_full,ispi_branch,ispi_force_resolve,ispi_bus,ispi_rt_icache,ispi_wrong_icache,miss_pct,bus_occupancy_pct"
-	if lines[0] != wantHeader {
-		t.Errorf("header = %q\nwant     %q", lines[0], wantHeader)
-	}
-	cols := strings.Split(lines[1], ",")
-	if len(cols) != len(strings.Split(wantHeader, ",")) {
-		t.Fatalf("row has %d columns, header %d", len(cols), len(strings.Split(wantHeader, ",")))
-	}
-	if cols[0] != "100" || cols[1] != "75" {
-		t.Errorf("row position = %s,%s", cols[0], cols[1])
-	}
-}
-
-func TestIntervalSamplerJSON(t *testing.T) {
-	s := NewIntervalSampler()
-
-	// Empty series must still be a JSON array.
-	var empty bytes.Buffer
-	if err := s.WriteJSON(&empty); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(empty.String()); got != "[]" {
-		t.Errorf("empty series = %q, want []", got)
-	}
-
-	var lost metrics.Breakdown
-	lost[metrics.Bus] = 8
-	s.Sample(Snapshot{Cycle: 50, Insts: 64, Lost: lost})
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back []SeriesPoint
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 1 || !reflect.DeepEqual(back[0], s.Points()[0]) {
-		t.Errorf("JSON round trip diverged: %+v vs %+v", back, s.Points())
-	}
-	if math.Abs(back[0].CumISPI-lost.TotalISPI(64)) > 1e-12 {
-		t.Errorf("CumISPI = %v", back[0].CumISPI)
 	}
 }

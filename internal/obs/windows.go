@@ -7,8 +7,8 @@ import (
 // Window is one closed instruction-count window of a run in the typed
 // Cycles/Slots domain: the difference of two cumulative Snapshots. It is the
 // one per-window digest of the window plane. WindowSeries stores it and
-// converts it to WindowRecords at the wire boundary, IntervalSampler renders
-// it as SeriesPoints, and the Adaptive chooser's core.AdaptWindow embeds it.
+// converts it to WindowRecords at the wire boundary (every window export
+// reads those), and the Adaptive chooser's core.AdaptWindow embeds it.
 type Window struct {
 	// StartInsts/EndInsts bound the window in cumulative correct-path
 	// instructions.

@@ -1,17 +1,43 @@
 // Integration tests for the observability layer through the public facade:
-// a probed run must reproduce the unprobed Result exactly, the interval
-// series must end on the run's own cumulative ISPI, and the exported
+// a probed run must reproduce the unprobed Result exactly, the window
+// series table must end on the run's own cumulative ISPI, and the exported
 // timeline must be valid Chrome trace-event JSON.
 package specfetch_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"specfetch"
+	"specfetch/internal/experiments"
 )
+
+// lastSeriesRow renders the window series as experiments.SeriesTable CSV
+// and returns its last row's insts, cycle and cum_ispi columns.
+func lastSeriesRow(t *testing.T, win *specfetch.WindowSeries) (insts, cycle int64, cumISPI float64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := experiments.SeriesTable(win.Records()).RenderCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(rows) < 2 {
+		t.Fatal("no series rows")
+	}
+	cols := strings.Split(rows[len(rows)-1], ",")
+	insts, errI := strconv.ParseInt(cols[0], 10, 64)
+	cycle, errC := strconv.ParseInt(cols[1], 10, 64)
+	cumISPI, errF := strconv.ParseFloat(cols[4], 64)
+	if err := errors.Join(errI, errC, errF); err != nil {
+		t.Fatalf("last series row %q: %v", rows[len(rows)-1], err)
+	}
+	return insts, cycle, cumISPI
+}
 
 func TestObservedRunMatchesResult(t *testing.T) {
 	bench, err := specfetch.BuildBenchmark(specfetch.GCC())
@@ -29,8 +55,8 @@ func TestObservedRunMatchesResult(t *testing.T) {
 	}
 
 	rec := specfetch.NewEventRecorder(1 << 20)
-	samp := specfetch.NewIntervalSampler()
-	cfg.Probe = specfetch.MultiProbe(rec, samp)
+	win := specfetch.NewWindowSeries()
+	cfg.Probe = specfetch.MultiProbe(rec, win)
 	cfg.SampleInterval = 10_000
 	res, err := specfetch.RunBenchmark(bench, cfg, insts, 1)
 	if err != nil {
@@ -43,17 +69,13 @@ func TestObservedRunMatchesResult(t *testing.T) {
 
 	// The acceptance bar: the series' final cumulative ISPI equals the
 	// run's own TotalISPI.
-	pts := samp.Points()
-	if len(pts) == 0 {
-		t.Fatal("no series points")
+	lastInsts, lastCycle, cum := lastSeriesRow(t, win)
+	if got, want := cum, res.TotalISPI(); math.Abs(got-want) > 1e-9 {
+		t.Errorf("final cum_ispi = %.12f, want %.12f (run TotalISPI)", got, want)
 	}
-	last := pts[len(pts)-1]
-	if got, want := last.CumISPI, res.TotalISPI(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("final CumISPI = %.12f, want %.12f (run TotalISPI)", got, want)
-	}
-	if last.Insts != res.Insts || last.Cycle != res.Cycles.Int64() {
-		t.Errorf("final point at %d insts / %d cycles, run ended at %d / %d",
-			last.Insts, last.Cycle, res.Insts, res.Cycles)
+	if lastInsts != res.Insts || lastCycle != res.Cycles.Int64() {
+		t.Errorf("final row at %d insts / %d cycles, run ended at %d / %d",
+			lastInsts, lastCycle, res.Insts, res.Cycles)
 	}
 
 	if rec.Total() == 0 {
@@ -86,18 +108,14 @@ func TestRunWithProbe(t *testing.T) {
 	cfg.Policy = specfetch.Optimistic
 	cfg.MaxInsts = insts
 
-	samp := specfetch.NewIntervalSampler()
-	cfg.Probe = samp
+	win := specfetch.NewWindowSeries()
+	cfg.Probe = win
 	cfg.SampleInterval = 5_000
 	res, err := specfetch.Run(cfg, bench.Image(), bench.NewReader(7, insts*2), specfetch.NewPredictor())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := samp.Points()
-	if len(pts) == 0 {
-		t.Fatal("no series points")
-	}
-	if got, want := pts[len(pts)-1].CumISPI, res.TotalISPI(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("final CumISPI = %.12f, want %.12f", got, want)
+	if _, _, cum := lastSeriesRow(t, win); math.Abs(cum-res.TotalISPI()) > 1e-9 {
+		t.Errorf("final cum_ispi = %.12f, want %.12f", cum, res.TotalISPI())
 	}
 }

@@ -171,21 +171,10 @@ type EventRecorder = obs.EventRecorder
 // (obs.DefaultEventCapacity when capacity <= 0).
 func NewEventRecorder(capacity int) *EventRecorder { return obs.NewEventRecorder(capacity) }
 
-// IntervalSampler collects per-interval time series (ISPI breakdown, IPC,
-// miss rate, bus occupancy) with CSV/JSON export.
-type IntervalSampler = obs.IntervalSampler
-
-// NewIntervalSampler builds an empty interval sampler; set
-// Config.SampleInterval to choose the sampling period in instructions.
-func NewIntervalSampler() *IntervalSampler { return obs.NewIntervalSampler() }
-
-// SeriesPoint is one interval sample of a run's time series.
-type SeriesPoint = obs.SeriesPoint
-
 // WindowSeries captures one WindowRecord per sample interval — the aligned
-// per-policy window store the interval-analytics layer is built on. Like
-// IntervalSampler it is sample-only: attached alone it keeps the skip-ahead
-// engine's bulk path enabled.
+// per-policy window store the interval-analytics layer is built on. It is
+// sample-only: attached alone it keeps the skip-ahead engine's bulk path
+// enabled.
 type WindowSeries = obs.WindowSeries
 
 // NewWindowSeries builds an empty window store; set Config.SampleInterval
