@@ -7,7 +7,7 @@
 // Usage:
 //
 //	report -insts 2000000 -o report.md
-//	report -quick -o -            # small budget, stdout
+//	report -insts 200000 -o -     # small budget, stdout
 package main
 
 import (
@@ -24,14 +24,10 @@ import (
 
 func main() {
 	insts := flag.Int64("insts", 2_000_000, "instructions to simulate per benchmark")
-	quickFlag := flag.Bool("quick", false, "small-budget run (200k instructions)")
 	out := flag.String("o", "-", "output path ('-' = stdout)")
 	flag.Parse()
 
 	opt := experiments.Options{Insts: *insts}
-	if *quickFlag {
-		opt.Insts = 200_000
-	}
 
 	var w io.Writer = os.Stdout
 	closeOut := func() error { return nil }

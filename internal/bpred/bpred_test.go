@@ -91,10 +91,10 @@ func TestPHTHistoryMasked(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		p.Resolve(0x1000, true)
 	}
-	if h := p.History(); h >= 512 {
+	if h := p.history; h >= 512 {
 		t.Errorf("history %d exceeds mask", h)
 	}
-	if h := p.History(); h != 511 {
+	if h := p.history; h != 511 {
 		t.Errorf("history after 100 taken = %b, want all ones (9 bits)", h)
 	}
 }
@@ -157,16 +157,6 @@ func TestBTBLRUEviction(t *testing.T) {
 	}
 	if _, hit := b.Lookup(a3); !hit {
 		t.Error("a3 missing after insert")
-	}
-}
-
-func TestBTBHitRate(t *testing.T) {
-	b, _ := NewBTB(DefaultBTBConfig())
-	b.Insert(0x40, 0x80)
-	b.Lookup(0x40)
-	b.Lookup(0x44)
-	if hr := b.HitRate(); hr != 0.5 {
-		t.Errorf("hit rate = %v, want 0.5", hr)
 	}
 }
 

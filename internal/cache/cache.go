@@ -139,9 +139,6 @@ func MustNew(cfg Config) *ICache {
 // Config returns the cache geometry.
 func (c *ICache) Config() Config { return c.cfg }
 
-// Geom returns the line geometry helper for this cache.
-func (c *ICache) Geom() isa.LineGeom { return isa.LineGeom{LineBytes: c.cfg.LineBytes} }
-
 func (c *ICache) setTag(line uint64) (uint64, uint64) {
 	return line & c.setMask, line >> c.tagShift
 }
@@ -227,7 +224,7 @@ func (c *ICache) Probe(line uint64) bool {
 
 // WayHandle is an opaque reference to the array way holding a line. A
 // ProbeWay/TouchWay pair costs one tag lookup where a residency probe
-// followed by Touch costs two; handles stay valid only until the next Fill,
+// followed by a second lookup to update recency costs two; handles stay valid only until the next Fill,
 // invalidation, or Reset, so callers must not hold them across such calls.
 type WayHandle *way
 
@@ -267,26 +264,6 @@ func (c *ICache) BulkHits(n int) {
 	}
 	c.Accesses += uint64(n)
 	c.clock += uint64(n)
-}
-
-// Touch applies n consecutive demand hits to a line resident in the array:
-// exactly the state change n Access(line) calls would make when every one
-// hits (Accesses += n, LRU clock += n, the way's recency set to the final
-// clock — intermediate clock values are unobservable because no other access
-// interleaves). It reports false, changing nothing, when the line is not in
-// the array; the caller must then fall back to per-access simulation.
-func (c *ICache) Touch(line uint64, n int) bool {
-	w := c.find(line)
-	if w == nil {
-		return false
-	}
-	if n <= 0 {
-		return true
-	}
-	c.Accesses += uint64(n)
-	c.clock += uint64(n)
-	w.lru = c.clock
-	return true
 }
 
 // Fill installs line, evicting the set's LRU way if needed (into the victim
@@ -340,14 +317,6 @@ func (c *ICache) ConsumeFirstRef(line uint64) bool {
 		return true
 	}
 	return false
-}
-
-// MissRate returns misses/accesses so far.
-func (c *ICache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
 }
 
 // InvalidateAll empties the array and the victim buffer without touching
@@ -441,10 +410,6 @@ func (lb *LineBuffer) ReadyAt() metrics.Cycles { return lb.readyAt }
 func (lb *LineBuffer) Ready(line uint64, now metrics.Cycles) bool {
 	return lb.valid && lb.line == line && now >= lb.readyAt
 }
-
-// Pending reports whether the buffer is receiving line but the fill has not
-// completed by now.
-func (lb *LineBuffer) Pending(now metrics.Cycles) bool { return lb.valid && now < lb.readyAt }
 
 // Clear empties the buffer.
 func (lb *LineBuffer) Clear() { *lb = LineBuffer{} }

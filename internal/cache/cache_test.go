@@ -47,9 +47,6 @@ func TestAccessFillProbe(t *testing.T) {
 	if c.Accesses != 2 || c.Misses != 1 || c.Fills != 1 {
 		t.Errorf("counters: %d/%d/%d", c.Accesses, c.Misses, c.Fills)
 	}
-	if mr := c.MissRate(); mr != 0.5 {
-		t.Errorf("miss rate %v", mr)
-	}
 }
 
 func TestDirectMappedConflict(t *testing.T) {
@@ -186,9 +183,6 @@ func TestLineBuffer(t *testing.T) {
 	}
 	if lb.Ready(43, 200) {
 		t.Error("ready for wrong line")
-	}
-	if !lb.Pending(99) || lb.Pending(100) {
-		t.Error("pending window wrong")
 	}
 
 	c := MustNew(DefaultConfig())

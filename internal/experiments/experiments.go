@@ -114,11 +114,6 @@ func (opt Options) observe(bench string, pol core.Policy, res core.Result) {
 	}
 }
 
-// QuickOptions is used by tests: fewer instructions, representative subset.
-func QuickOptions() Options {
-	return Options{Insts: 300_000, Benchmarks: []string{"doduc", "gcc", "groff"}}
-}
-
 // selected returns the benchmark profiles the options name, in paper order.
 func selected(opt Options) ([]synth.Profile, error) {
 	all := synth.Profiles()

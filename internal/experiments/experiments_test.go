@@ -9,8 +9,11 @@ import (
 	"specfetch/internal/synth"
 )
 
-// quick gives every experiment a fast test configuration.
-func quick() Options { return QuickOptions() }
+// quick gives every experiment a fast test configuration: fewer
+// instructions, representative subset.
+func quick() Options {
+	return Options{Insts: 300_000, Benchmarks: []string{"doduc", "gcc", "groff"}}
+}
 
 func TestSelectedValidation(t *testing.T) {
 	if _, err := selected(Options{Benchmarks: []string{"nosuch"}}); err == nil {

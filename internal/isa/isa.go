@@ -137,12 +137,6 @@ func (g LineGeom) LineAddr(a Addr) Addr {
 	return a &^ Addr(g.LineBytes-1)
 }
 
-// NextLineAddr returns the first byte address of the line after the one
-// containing a (the next-line prefetch candidate).
-func (g LineGeom) NextLineAddr(a Addr) Addr {
-	return g.LineAddr(a) + Addr(g.LineBytes)
-}
-
 // InstPerLine returns how many instructions one line holds.
 func (g LineGeom) InstPerLine() int { return g.LineBytes / InstBytes }
 
@@ -152,6 +146,3 @@ func (g LineGeom) InstsLeftInLine(a Addr) int {
 	off := int(uint64(a) & uint64(g.LineBytes-1))
 	return (g.LineBytes - off) / InstBytes
 }
-
-// SameLine reports whether a and b fall in the same cache line.
-func (g LineGeom) SameLine(a, b Addr) bool { return g.Line(a) == g.Line(b) }

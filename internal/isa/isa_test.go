@@ -86,17 +86,11 @@ func TestLineGeometry(t *testing.T) {
 	if g.LineAddr(0x101c) != 0x1000 {
 		t.Errorf("LineAddr = %s", g.LineAddr(0x101c))
 	}
-	if g.NextLineAddr(0x101c) != 0x1020 {
-		t.Errorf("NextLineAddr = %s", g.NextLineAddr(0x101c))
-	}
 	if g.InstsLeftInLine(0x1000) != 8 {
 		t.Errorf("InstsLeftInLine(start) = %d", g.InstsLeftInLine(0x1000))
 	}
 	if g.InstsLeftInLine(0x101c) != 1 {
 		t.Errorf("InstsLeftInLine(last) = %d", g.InstsLeftInLine(0x101c))
-	}
-	if !g.SameLine(0x1000, 0x101c) || g.SameLine(0x1000, 0x1020) {
-		t.Error("SameLine misbehaves")
 	}
 }
 
@@ -108,7 +102,6 @@ func TestLineGeomProperties(t *testing.T) {
 		la := g.LineAddr(a)
 		return la <= a &&
 			uint64(a)-uint64(la) < uint64(g.LineBytes) &&
-			g.NextLineAddr(a) == la+Addr(g.LineBytes) &&
 			g.Line(la) == g.Line(a) &&
 			g.InstsLeftInLine(a) >= 1 &&
 			g.InstsLeftInLine(a) <= g.InstPerLine()

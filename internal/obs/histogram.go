@@ -15,7 +15,7 @@ import (
 // overflow (+Inf) bucket. The layout is chosen for host-side latencies in
 // seconds: 1µs resolves a single fast simulation cell, 10^3 s bounds any
 // sane builder, and the growth factor 10^(1/5) ≈ 1.585 bounds the relative
-// quantile-estimation error (see Quantile).
+// error of a quantile read off the bucket boundaries.
 const (
 	histMin              = 1e-6
 	histBucketsPerDecade = 5
@@ -32,21 +32,6 @@ var histBounds = func() [numHistBuckets]float64 {
 	}
 	return b
 }()
-
-// HistogramBounds returns a copy of the finite bucket boundaries (the +Inf
-// overflow bucket is implicit).
-func HistogramBounds() []float64 {
-	out := make([]float64, numHistBuckets)
-	copy(out, histBounds[:])
-	return out
-}
-
-// HistogramGrowth is the per-bucket boundary growth factor; Quantile's
-// estimate overshoots the true sample quantile by at most this factor for
-// observations within the finite bucket range.
-func HistogramGrowth() float64 {
-	return math.Pow(10, 1.0/histBucketsPerDecade)
-}
 
 // Histogram counts float64 observations in fixed log-spaced buckets. It is
 // safe for concurrent use: bucket counts are atomic and the running sum is
@@ -96,34 +81,6 @@ func (h *Histogram) Count() int64 {
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sumBits.Load())
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) as the upper boundary of
-// the bucket containing the rank-⌈q·count⌉ observation. For observations
-// within the finite bucket range the estimate e satisfies
-// true ≤ e < true·HistogramGrowth(), i.e. the relative error is bounded by
-// the bucket growth factor. An empty histogram returns 0; a rank landing in
-// the overflow bucket returns +Inf.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum int64
-	for i := 0; i < numHistBuckets; i++ {
-		cum += h.counts[i].Load()
-		if cum >= rank {
-			return histBounds[i]
-		}
-	}
-	return math.Inf(1)
 }
 
 // writeText writes the histogram in the Prometheus text exposition format

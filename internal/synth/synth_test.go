@@ -213,7 +213,7 @@ func TestCondClassTagging(t *testing.T) {
 	classes := map[string]int{}
 	for pc := img.Base(); pc < img.End(); pc = pc.Next() {
 		if img.At(pc).Kind == isa.CondBranch {
-			cls := b.CondClass(pc)
+			cls := b.conds[pc].class
 			if cls == "" {
 				t.Fatalf("conditional at %s has no class", pc)
 			}

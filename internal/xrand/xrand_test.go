@@ -90,25 +90,6 @@ func TestGeometricPanics(t *testing.T) {
 	New(1).Geometric(0)
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(5)
-	const n = 200_000
-	var sum, sq float64
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sq += v * v
-	}
-	mean := sum / n
-	variance := sq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %.4f, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance %.4f, want ~1", variance)
-	}
-}
-
 func TestZipfHeadHeavy(t *testing.T) {
 	r := New(3)
 	z := NewZipf(100, 1.0)
@@ -147,28 +128,6 @@ func TestZipfFlat(t *testing.T) {
 		if frac < 0.07 || frac > 0.14 {
 			t.Errorf("near-uniform Zipf item %d has fraction %.3f", i, frac)
 		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(13)
-	prop := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
 	}
 }
 
