@@ -1,17 +1,13 @@
-// Command intervals renders a file of v1 interval lines — window series as
-// written by `paperbench -oracle -intervals-out`, by `fetchsim -series`, or
-// assembled from distsweep job results with capture_windows set. The view
-// follows from the input:
-//
-//   - If every benchmark x penalty group holds one line, each line is
-//     printed as a per-window series table: IPC, ISPI, cumulative ISPI,
-//     ISPI per penalty component, miss rate and bus occupancy per window.
-//   - Otherwise the lines are an oracle study. The per-policy window series
-//     are regrouped by benchmark and miss penalty, the per-window winners
-//     recomputed, and the oracle-vs-static crossover table plus the
-//     per-window winner map printed. Every group needs all five static
-//     policies. Reading the JSONL back renders the exact bytes the producing
-//     sweep rendered.
+// Command intervals renders a file of v1 interval lines: window series
+// written by `paperbench -oracle -intervals-out`, by `fetchsim -series`,
+// or assembled from distsweep job results with capture_windows set. If
+// every benchmark x penalty group holds one line, it prints each line as a
+// per-window series table (IPC, ISPI, cumulative ISPI, ISPI per penalty
+// component, miss rate, bus occupancy). Otherwise the file is an oracle
+// study: it regroups the per-policy series, which must cover all five
+// policies, recomputes the per-window winners, and prints the
+// oracle-vs-static crossover table plus the per-window winner map — the
+// exact bytes the producing sweep rendered.
 //
 // Usage:
 //
@@ -29,6 +25,7 @@ import (
 	"os"
 
 	"specfetch/internal/experiments"
+	"specfetch/internal/texttable"
 )
 
 func main() {
@@ -60,8 +57,16 @@ func main() {
 			fmt.Fprintln(os.Stderr, "intervals: -winners-only needs an oracle study (five policies per benchmark and penalty)")
 			usage()
 		}
-		if err := printSeries(lines, *csv); err != nil {
-			fatal(err)
+		// Tables are separated by blank lines; only the text view heads
+		// them, so a one-line file renders as a single CSV document.
+		for i, l := range lines {
+			if i > 0 {
+				out("\n")
+			}
+			if !*csv {
+				out("Window series: %s @ %dc, %s (window = %d insts)\n", l.Bench, l.Penalty, l.Policy, l.Interval)
+			}
+			render(experiments.SeriesTable(l.Windows), *csv)
 		}
 		return
 	}
@@ -71,27 +76,14 @@ func main() {
 		fatal(err)
 	}
 	if !*winnersOnly {
-		t := d.CrossoverTable()
-		if *csv {
-			err = t.RenderCSV(os.Stdout)
-		} else {
-			err = t.Render(os.Stdout)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		if _, err := fmt.Println(); err != nil {
-			fatal(err)
-		}
+		render(d.CrossoverTable(), *csv)
+		out("\n")
 	}
-	if _, err := fmt.Print(d.WinnerMap()); err != nil {
-		fatal(err)
-	}
+	out("%s", d.WinnerMap())
 }
 
 // onePerGroup reports whether no two lines share a benchmark and penalty,
-// which makes the file a set of single-run series rather than an oracle
-// study.
+// which makes the file a set of single-run series, not an oracle study.
 func onePerGroup(lines []experiments.IntervalLine) bool {
 	type key struct {
 		bench string
@@ -108,32 +100,24 @@ func onePerGroup(lines []experiments.IntervalLine) bool {
 	return true
 }
 
-// printSeries prints each line's series table, separated by blank lines.
-// The text view heads each table with the line's labels; the CSV view is
-// bare, so a one-line file renders as a single CSV document.
-func printSeries(lines []experiments.IntervalLine, csv bool) error {
-	for i, l := range lines {
-		if i > 0 {
-			if _, err := fmt.Println(); err != nil {
-				return err
-			}
-		}
-		t := experiments.SeriesTable(l.Windows)
-		if csv {
-			if err := t.RenderCSV(os.Stdout); err != nil {
-				return err
-			}
-			continue
-		}
-		if _, err := fmt.Printf("Window series: %s @ %dc, %s (window = %d insts)\n",
-			l.Bench, l.Penalty, l.Policy, l.Interval); err != nil {
-			return err
-		}
-		if err := t.Render(os.Stdout); err != nil {
-			return err
-		}
+// render prints t to stdout as CSV or as aligned text.
+func render(t *texttable.Table, csv bool) {
+	var err error
+	if csv {
+		err = t.RenderCSV(os.Stdout)
+	} else {
+		err = t.Render(os.Stdout)
 	}
-	return nil
+	if err != nil {
+		fatal(err)
+	}
+}
+
+// out is a checked Printf to stdout.
+func out(format string, args ...any) {
+	if _, err := fmt.Printf(format, args...); err != nil {
+		fatal(err)
+	}
 }
 
 func usage() {
