@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"specfetch/internal/isa"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
 )
@@ -26,6 +27,16 @@ import (
 // need it, and no record is ever copied by slice growth or held in growth
 // slack. The chunks are dropped when the last reader releases the stream.
 //
+// The memo holds a stream whole from its first chunk until its last reader
+// releases it (readers run at pool width, so the slowest still needs chunk
+// 0), so a chunk stores its records packed, 12 bytes each instead of the 32
+// of a trace.Record: start, target and the header word N<<4 | kind<<1 |
+// taken of trace.BinaryWriter, as uint32s. Walker streams always fit: the
+// synthetic image starts at 0x10000 and a block is a few dozen
+// instructions. A chunk with any record that does not fit keeps its records
+// as they are, so the memo reproduces any stream, out-of-range and invalid
+// records included, and never clamps or drops one.
+//
 // Replay is bit-identical by construction: the records handed out, their
 // order, and the terminal error (io.EOF from the instruction limit, or a
 // walker fault mid-stream) are exactly what a fresh bounded walker yields.
@@ -34,8 +45,8 @@ import (
 // earlier cursor does not, so its engine validates per record and fails
 // exactly as it would on a fresh walker.
 
-// chunkRecords is the number of records in one stream chunk (128 KiB of
-// records): large enough that the mutex is taken rarely, small enough that
+// chunkRecords is the number of records in one stream chunk (48 KiB
+// packed): large enough that the mutex is taken rarely, small enough that
 // a cell starts after a sliver of its stream and the short final chunk
 // wastes little.
 const chunkRecords = 4096
@@ -62,11 +73,14 @@ type sharedTrace struct {
 	// chunks is the published stream, append-only: a published chunk is
 	// full (chunkRecords records) unless it is the last, and is never
 	// written again, so cursors read their snapshot of the list unlocked.
-	chunks [][]trace.Record
+	chunks []chunk
 	// src is the shared bounded walker: made from key by the first pull
 	// unless already set, and dropped once it has returned its terminal
 	// error.
 	src trace.Reader
+	// scratch receives each chunk from src before it is packed; dropped
+	// with src.
+	scratch []trace.Record
 	// done reports that src returned err: chunks hold the whole stream.
 	done bool
 	err  error
@@ -85,7 +99,7 @@ func (s *sharedTrace) reader() trace.Reader {
 // pull returns the published chunks, the completion flag and the terminal
 // error, first generating one more chunk if the caller has already seen all
 // have published chunks and the stream is not complete.
-func (s *sharedTrace) pull(have int) ([][]trace.Record, bool, error) {
+func (s *sharedTrace) pull(have int) ([]chunk, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if have == len(s.chunks) && !s.done {
@@ -100,11 +114,14 @@ func (s *sharedTrace) generate() {
 	if s.src == nil {
 		s.src = trace.NewLimitReader(s.key.bench.NewWalker(s.key.seed), traceLimit(s.key.insts))
 	}
-	c := make([]trace.Record, 0, chunkRecords)
+	if s.scratch == nil {
+		s.scratch = make([]trace.Record, 0, chunkRecords)
+	}
+	c := s.scratch[:0]
 	for len(c) < chunkRecords {
 		rec, err := s.src.Next()
 		if err != nil {
-			s.done, s.err, s.src = true, err, nil
+			s.done, s.err, s.src, s.scratch = true, err, nil, nil
 			break
 		}
 		if rec.Validate() != nil {
@@ -113,15 +130,44 @@ func (s *sharedTrace) generate() {
 		c = append(c, rec)
 	}
 	if len(c) > 0 {
-		s.chunks = append(s.chunks, c)
+		s.chunks = append(s.chunks, packChunk(c))
 	}
+}
+
+// packedRec is one record in 12 bytes: nk = N<<4 | BrKind<<1 | Taken.
+type packedRec struct {
+	start, target, nk uint32
+}
+
+// chunk is one published run of records: packed, or wide when one of them
+// does not fit a packedRec. Exactly one of the two is set.
+type chunk struct {
+	packed []packedRec
+	wide   []trace.Record
+}
+
+// packChunk returns recs in memory of their own: packed if every record fits
+// a packedRec, else copied as they are.
+func packChunk(recs []trace.Record) chunk {
+	p := make([]packedRec, len(recs))
+	for i, r := range recs {
+		if r.Start >= 1<<32 || r.Target >= 1<<32 || r.N < 0 || r.N >= 1<<28 || r.BrKind >= 8 {
+			return chunk{wide: append([]trace.Record(nil), recs...)}
+		}
+		nk := uint32(r.N)<<4 | uint32(r.BrKind)<<1
+		if r.Taken {
+			nk |= 1
+		}
+		p[i] = packedRec{start: uint32(r.Start), target: uint32(r.Target), nk: nk}
+	}
+	return chunk{packed: p}
 }
 
 // release records that one reader has finished with the stream.
 func (s *sharedTrace) release() {
 	if s.readers.Add(-1) == 0 {
 		s.mu.Lock()
-		s.chunks, s.src = nil, nil
+		s.chunks, s.src, s.scratch = nil, nil, nil
 		s.mu.Unlock()
 	}
 }
@@ -130,11 +176,14 @@ func (s *sharedTrace) release() {
 // exhausted it reports the stream's terminal error forever, like the
 // exhausted LimitReader it stands in for.
 type replayReader struct {
-	cur []trace.Record // the chunk being read
-	i   int            // the next record's index in cur
+	// cur is the chunk being read when it is packed, wide when it is not;
+	// i is the next record's index in it.
+	cur  []packedRec
+	wide []trace.Record
+	i    int
 	// chunks is the cursor's snapshot of the published chunks, next the
-	// index of the chunk after cur.
-	chunks [][]trace.Record
+	// index of the chunk after the one being read.
+	chunks []chunk
 	next   int
 	s      *sharedTrace
 	// done reports that chunks is the whole stream, which ends with err.
@@ -143,28 +192,38 @@ type replayReader struct {
 	pre  bool
 }
 
-// Next implements trace.Reader.
+// Next implements trace.Reader. The record is built in the return statement
+// from a pointer into the chunk: decoding into a local first and returning
+// that compiles to narrow stores re-read by wide moves, and replayed at
+// about half the speed (BenchmarkSharedTraceReplay).
 func (r *replayReader) Next() (trace.Record, error) {
 	if r.i < len(r.cur) {
-		rec := r.cur[r.i]
+		p := &r.cur[r.i]
 		r.i++
-		return rec, nil
+		return trace.Record{Start: isa.Addr(p.start), N: int(p.nk >> 4),
+			BrKind: isa.Kind(p.nk >> 1 & 7), Taken: p.nk&1 != 0, Target: isa.Addr(p.target)}, nil
 	}
 	return r.advance()
 }
 
-// advance moves the cursor to the next chunk, pulling the stream when the
-// snapshot is exhausted, and returns that chunk's first record.
+// advance returns the next record of a wide chunk, or moves the cursor to
+// the next chunk, pulling the stream when the snapshot is exhausted, and
+// returns that chunk's first record.
 func (r *replayReader) advance() (trace.Record, error) {
+	if r.i < len(r.wide) {
+		r.i++
+		return r.wide[r.i-1], nil
+	}
 	for r.next == len(r.chunks) {
 		if r.done {
 			return trace.Record{}, r.err
 		}
 		r.chunks, r.done, r.err = r.s.pull(len(r.chunks))
 	}
-	r.cur, r.i = r.chunks[r.next], 1
+	c := r.chunks[r.next]
+	r.cur, r.wide, r.i = c.packed, c.wide, 0
 	r.next++
-	return r.cur[0], nil
+	return r.Next()
 }
 
 // PreValidatedTrace implements trace.PreValidated: true when the stream was

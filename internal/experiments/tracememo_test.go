@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"errors"
 	"io"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"specfetch/internal/isa"
 	"specfetch/internal/synth"
 	"specfetch/internal/trace"
 )
@@ -296,8 +298,9 @@ func TestSharedTraceReleaseDropsChunks(t *testing.T) {
 }
 
 // TestSharedTraceAllocBound: generating and reading the 2M-instruction
-// porky stream allocates at most 1.25x its records' bytes plus 256 KiB —
-// no slice-growth copies, no growth slack beyond the last chunk.
+// porky stream allocates at most 12 bytes per record (the packed record)
+// plus 256 KiB — no slice-growth copies, no growth slack beyond the last
+// chunk, no 32-byte copy of the stream.
 func TestSharedTraceAllocBound(t *testing.T) {
 	key := traceKey{bench: buildBench(t, "porky"), seed: defaultStreamSeed, insts: 2_000_000}
 	s := newShared(key, 1)
@@ -317,8 +320,169 @@ func TestSharedTraceAllocBound(t *testing.T) {
 	recBytes := uint64(n) * uint64(unsafe.Sizeof(trace.Record{}))
 	t.Logf("%d records, %d record bytes, %d allocated (%.3fx)",
 		n, recBytes, alloc, float64(alloc)/float64(recBytes))
-	if limit := recBytes + recBytes/4 + 256<<10; alloc > limit {
+	if limit := uint64(n)*12 + 256<<10; alloc > limit {
 		t.Errorf("generating %d records allocated %d bytes, bound %d", n, alloc, limit)
 	}
+	s.release()
+}
+
+// TestSharedTraceUnpackable: records a packed chunk cannot hold (addresses
+// of 2^32 and up, lengths outside [0, 2^28)) and odd records it can (zero
+// length, kind 7, a misaligned start, a target on a plain or not-taken
+// record) come back exactly, in the first chunk and past it, through
+// cursors made before, during and after completion; a chunk keeps its
+// records wide only when one of them does not fit, and vouching follows
+// Validate as for any stream.
+func TestSharedTraceUnpackable(t *testing.T) {
+	t.Parallel()
+	b := buildBench(t, "gcc")
+	valid, _ := freshStream(traceKey{bench: b, seed: 1, insts: 100_000})
+	if len(valid) < 3*chunkRecords {
+		t.Fatalf("only %d records", len(valid))
+	}
+	valid = valid[:3*chunkRecords]
+	var cond, taken trace.Record
+	for _, r := range valid {
+		switch {
+		case r.BrKind == isa.CondBranch && !r.Taken:
+			cond = r
+		case r.BrKind.IsUnconditional():
+			taken = r
+		}
+	}
+	if cond.N == 0 || taken.N == 0 {
+		t.Fatal("stream lacks a not-taken conditional or an unconditional record")
+	}
+	plain := trace.Record{Start: cond.Start, N: cond.N, BrKind: isa.Plain}
+	with := func(r trace.Record, f func(*trace.Record)) trace.Record { f(&r); return r }
+	cases := []struct {
+		name string
+		rec  trace.Record
+		wide bool
+	}{
+		{"start-2^32", with(taken, func(r *trace.Record) { r.Start = 1 << 32 }), true},
+		{"target-2^40", with(taken, func(r *trace.Record) { r.Target = 1 << 40 }), true},
+		{"n-2^28", with(plain, func(r *trace.Record) { r.N = 1 << 28 }), true},
+		{"n-negative", with(plain, func(r *trace.Record) { r.N = -1 }), true},
+		{"n-zero", with(plain, func(r *trace.Record) { r.N = 0 }), false},
+		{"kind-7", with(taken, func(r *trace.Record) { r.BrKind = 7 }), false},
+		{"misaligned-start", with(plain, func(r *trace.Record) { r.Start++ }), false},
+		{"plain-target", with(plain, func(r *trace.Record) { r.Target = 0x4000 }), false},
+		{"not-taken-target", with(cond, func(r *trace.Record) { r.Target = 0x4000 }), false},
+	}
+	for _, tc := range cases {
+		want := append([]trace.Record(nil), valid...)
+		want[100], want[chunkRecords+200] = tc.rec, tc.rec
+		s := newShared(traceKey{}, 3)
+		s.src = trace.NewSliceReader(want)
+		before := s.reader()
+		first, err := before.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		during := s.reader()
+		got, err := drain(before, nil)
+		sameStream(t, tc.name+"/before", append([]trace.Record{first}, got...), err, want, io.EOF)
+		after := s.reader()
+		for who, rd := range map[string]trace.Reader{"during": during, "after": after} {
+			got, err := drain(rd, nil)
+			sameStream(t, tc.name+"/"+who, got, err, want, io.EOF)
+		}
+		for i, c := range s.chunks {
+			if wide := i < 2 && tc.wide; (c.wide != nil) != wide || (c.packed != nil) == wide {
+				t.Errorf("%s: chunk %d wide %t packed %t, want wide %t", tc.name, i, c.wide != nil, c.packed != nil, wide)
+			}
+		}
+		vouch := func(rd trace.Reader) bool { return rd.(trace.PreValidated).PreValidatedTrace() }
+		if vouch(before) || vouch(during) {
+			t.Errorf("%s: a cursor made before completion vouches for its stream", tc.name)
+		}
+		if valid := tc.rec.Validate() == nil; vouch(after) != valid {
+			t.Errorf("%s: cursor made after completion vouches %t, record valid %t", tc.name, vouch(after), valid)
+		}
+	}
+}
+
+// FuzzSharedTrace: any records put through a shared stream, followed by
+// io.EOF or a walker fault, come back identical with the same terminal
+// error, through a cursor made before the stream is generated and one made
+// after it is complete; the latter vouches exactly when every record passes
+// Validate. The input is a record pattern cycled to a length that can span
+// several chunks.
+func FuzzSharedTrace(f *testing.F) {
+	const recBytes = 8 + 8 + 8 + 1 + 1
+	f.Add(uint16(5000), false, make([]byte, recBytes))
+	// A valid jump, then a record with start 2^32, target 2^40, N 2^28
+	// and kind 7, ending in a fault.
+	f.Add(uint16(chunkRecords), true, []byte{
+		0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 2, 1,
+		0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 16, 0, 0, 0, 0, 7, 0})
+	f.Fuzz(func(t *testing.T, n uint16, fault bool, pattern []byte) {
+		var pat []trace.Record
+		for ; len(pattern) >= recBytes; pattern = pattern[recBytes:] {
+			pat = append(pat, trace.Record{
+				Start:  isa.Addr(binary.LittleEndian.Uint64(pattern)),
+				Target: isa.Addr(binary.LittleEndian.Uint64(pattern[8:])),
+				N:      int(int64(binary.LittleEndian.Uint64(pattern[16:]))),
+				BrKind: isa.Kind(pattern[24]),
+				Taken:  pattern[25]&1 != 0,
+			})
+		}
+		var want []trace.Record
+		for i := 0; len(pat) > 0 && i < int(n)%(3*chunkRecords); i++ {
+			want = append(want, pat[i%len(pat)])
+		}
+		wantErr := io.EOF
+		if fault {
+			wantErr = errors.New("walker fault")
+		}
+		s := newShared(traceKey{}, 2)
+		s.src = &faultReader{recs: want, err: wantErr}
+		first := s.reader()
+		got, err := drain(first, nil)
+		sameStream(t, "first", got, err, want, wantErr)
+		after := s.reader()
+		valid := true
+		for _, r := range want {
+			valid = valid && r.Validate() == nil
+		}
+		if got := after.(trace.PreValidated).PreValidatedTrace(); got != valid {
+			t.Errorf("cursor made after completion vouches %t, records valid %t", got, valid)
+		}
+		got, err = drain(after, nil)
+		sameStream(t, "after", got, err, want, wantErr)
+	})
+}
+
+// benchSink keeps the replay loop's reads live.
+var benchSink int
+
+// BenchmarkSharedTraceReplay: replay through a cursor over the completed
+// 2M-instruction porky stream, in records per second.
+func BenchmarkSharedTraceReplay(b *testing.B) {
+	key := traceKey{bench: buildBench(b, "porky"), seed: defaultStreamSeed, insts: 2_000_000}
+	s := newShared(key, 1)
+	rd := s.reader()
+	var recs int
+	for {
+		if _, err := rd.Next(); err != nil {
+			break
+		}
+		recs++
+	}
+	b.ResetTimer()
+	sum := 0
+	for i := 0; i < b.N; i++ {
+		rd := s.reader()
+		for {
+			rec, err := rd.Next()
+			if err != nil {
+				break
+			}
+			sum += rec.N
+		}
+	}
+	benchSink = sum
+	b.ReportMetric(float64(recs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrecords/s")
 	s.release()
 }
