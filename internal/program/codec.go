@@ -78,7 +78,13 @@ func WriteImage(w io.Writer, img *Image) error {
 	return bw.Flush()
 }
 
-// ReadImage parses the text format.
+// maxFileInsts bounds the images ReadImage accepts, so a hostile `plain N`
+// cannot ask for gigabytes: 1<<22 instructions is 20.9x search (200,657),
+// the largest image the repository builds.
+const maxFileInsts = 1 << 22
+
+// ReadImage parses the text format. It rejects, before allocating, an
+// image of more than maxFileInsts instructions.
 func ReadImage(r io.Reader) (*Image, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
@@ -114,6 +120,12 @@ func ReadImage(r io.Reader) (*Image, error) {
 		return nil, err
 	}
 
+	tooBig := func(n int) error {
+		if n > maxFileInsts-b.n() {
+			return fmt.Errorf("program: line %d: image exceeds %d instructions", lineNo, maxFileInsts)
+		}
+		return nil
+	}
 	for {
 		line, ok := next()
 		if !ok {
@@ -142,11 +154,17 @@ func ReadImage(r io.Reader) (*Image, error) {
 			if err != nil || n < 1 {
 				return nil, fmt.Errorf("program: line %d: bad plain count %q", lineNo, f[1])
 			}
+			if err := tooBig(n); err != nil {
+				return nil, err
+			}
 			b.AppendPlain(n)
 		default:
 			kind, ok := isa.ParseKind(f[0])
 			if !ok || kind == isa.Plain {
 				return nil, fmt.Errorf("program: line %d: unknown directive %q", lineNo, f[0])
+			}
+			if err := tooBig(1); err != nil {
+				return nil, err
 			}
 			in := Inst{Kind: kind}
 			switch kind {

@@ -2,6 +2,8 @@ package program
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -101,5 +103,58 @@ func TestImageRoundTripComments(t *testing.T) {
 	}
 	if img.NumInsts() != 3 || img.At(8).Kind != isa.Return {
 		t.Errorf("parsed image wrong: %d insts", img.NumInsts())
+	}
+}
+
+// TestReadImageSizeBound: a `plain N` beyond the file bound is rejected,
+// naming its line, before anything is allocated for it; an image of
+// exactly maxFileInsts instructions is accepted.
+func TestReadImageSizeBound(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadImage(strings.NewReader("image v1 base 0x0\nplain 4000000000\n"))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "line 2: image exceeds") {
+		t.Fatalf("plain 4000000000: err = %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Errorf("rejecting plain 4000000000 allocated %d bytes", got)
+	}
+
+	atBound := fmt.Sprintf("image v1 base 0x0\nplain %d\n", maxFileInsts)
+	img, err := ReadImage(strings.NewReader(atBound))
+	if err != nil {
+		t.Fatalf("image of %d instructions rejected: %v", maxFileInsts, err)
+	}
+	if img.NumInsts() != maxFileInsts {
+		t.Errorf("NumInsts = %d, want %d", img.NumInsts(), maxFileInsts)
+	}
+	_, err = ReadImage(strings.NewReader(atBound + "# one more\nret\n"))
+	if err == nil || !strings.Contains(err.Error(), "line 4: image exceeds") {
+		t.Errorf("image of %d instructions: err = %v", maxFileInsts+1, err)
+	}
+}
+
+// TestReadImageRejectsWrap: an image whose end would pass 2^64 is
+// rejected; one that ends just below it round-trips.
+func TestReadImageRejectsWrap(t *testing.T) {
+	_, err := ReadImage(strings.NewReader("image v1 base 0xfffffffffffffff8\nplain 3\nret\n"))
+	if err == nil || !strings.Contains(err.Error(), "wraps past the end") {
+		t.Fatalf("wrapping image: err = %v", err)
+	}
+
+	img, err := ReadImage(strings.NewReader("image v1 base 0xfffffffffffffff8\nret\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.End() != 0xfffffffffffffffc || !img.Contains(img.Base()) {
+		t.Errorf("top-of-space image: end %s, contains base %v", img.End(), img.Contains(img.Base()))
+	}
+	var buf bytes.Buffer
+	if err := WriteImage(&buf, img); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), "image v1 base 0xfffffffffffffff8\nret\n"; got != want {
+		t.Errorf("WriteImage = %q, want %q", got, want)
 	}
 }

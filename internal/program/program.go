@@ -6,6 +6,7 @@ package program
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"specfetch/internal/isa"
@@ -17,22 +18,44 @@ type Inst struct {
 	Kind isa.Kind
 	// Target is the statically-known destination for direct control
 	// transfers (CondBranch, Jump, Call). It is zero for Plain and for
-	// indirect transfers, whose destinations are only known dynamically.
+	// indirect transfers, whose destinations are only known dynamically;
+	// Build rejects a non-zero Target there.
 	Target isa.Addr
 }
 
 // Image is an immutable static code image. Addresses run from Base to
-// Base + 4*len(code); every slot holds an instruction.
+// End = Base + 4*NumInsts; every slot holds an instruction.
+//
+// Each slot is stored as one 32-bit word: the kind in the low kindBits
+// bits and a payload above it.
+//   - Plain: the length of the run of consecutive Plain instructions that
+//     starts at the slot, minus one. Trace generators and the wrong-path
+//     fetch use it to consume whole basic-block prefixes at once.
+//   - CondBranch, Jump, Call: the target's slot index, so the target is
+//     Base + 4*index.
+//   - Return, IndirectJump, IndirectCall: 0.
+//
+// The payload has 32-kindBits bits, so an image holds at most maxSlots
+// (2^29) instructions, and Build also rejects an image whose end would
+// wrap past 2^64. The 13 stock profiles' images take 1.3 MB.
 type Image struct {
-	base isa.Addr
-	code []Inst
-	// plainRun[i] is the number of consecutive Plain instructions starting
-	// at slot i (0 when slot i is a control transfer). Trace generators use
-	// it to emit whole basic-block prefixes without walking instruction by
-	// instruction.
-	plainRun []int32
+	base  isa.Addr
+	words []uint32
 	// funcs records function entry addresses, sorted, for tooling.
 	funcs []Func
+}
+
+const (
+	kindBits = 3
+	kindMask = 1<<kindBits - 1
+	maxSlots = 1 << (32 - kindBits)
+)
+
+// direct reports whether k carries a static target. CondBranch, Jump and
+// Call are consecutive kinds, so one unsigned compare decides it, and At
+// can select the target without a branch.
+func direct(k isa.Kind) bool {
+	return k-isa.CondBranch <= isa.Call-isa.CondBranch
 }
 
 // Func names a function's extent inside the image.
@@ -43,11 +66,25 @@ type Func struct {
 	NumInsts int
 }
 
-// Builder accumulates instructions for an Image.
+// Builder accumulates instructions for an Image, staged in the packed word
+// form (plain runs are filled in by Build).
 type Builder struct {
 	base  isa.Addr
-	code  []Inst
+	words []uint32
+	// over counts instructions appended past maxSlots. They are not
+	// stored, so an oversized image costs no memory; Build rejects it.
+	over int
+	// bad lists, in address order, the appended instructions a word cannot
+	// hold: an unknown kind, a Target on a kind that has none, or a direct
+	// target that is misaligned, below the base or maxSlots or more slots
+	// away. Build reports the first bad instruction.
+	bad   []badInst
 	funcs []Func
+}
+
+type badInst struct {
+	slot int
+	in   Inst
 }
 
 // NewBuilder starts an image at the given base address. The base must be
@@ -59,21 +96,54 @@ func NewBuilder(base isa.Addr) (*Builder, error) {
 	return &Builder{base: base}, nil
 }
 
+// n returns the number of instructions appended so far.
+func (b *Builder) n() int { return len(b.words) + b.over }
+
 // PC returns the address the next appended instruction will occupy.
-func (b *Builder) PC() isa.Addr { return b.base.Plus(len(b.code)) }
+func (b *Builder) PC() isa.Addr { return b.base.Plus(b.n()) }
 
 // Append adds one instruction and returns its address.
 func (b *Builder) Append(in Inst) isa.Addr {
 	pc := b.PC()
-	b.code = append(b.code, in)
+	slot := b.n()
+	if slot >= maxSlots {
+		b.over++
+		return pc
+	}
+	w, ok := b.encode(in)
+	if !ok {
+		b.bad = append(b.bad, badInst{slot, in})
+	}
+	b.words = append(b.words, w)
 	return pc
+}
+
+// encode packs in as a staged word. It reports false for an instruction
+// the word cannot hold; the word is then a placeholder.
+func (b *Builder) encode(in Inst) (uint32, bool) {
+	switch in.Kind {
+	case isa.CondBranch, isa.Jump, isa.Call:
+		off := uint64(in.Target) - uint64(b.base)
+		if in.Target < b.base || off%isa.InstBytes != 0 || off/isa.InstBytes >= maxSlots {
+			return uint32(in.Kind), false
+		}
+		return uint32(off/isa.InstBytes)<<kindBits | uint32(in.Kind), true
+	case isa.Plain, isa.Return, isa.IndirectJump, isa.IndirectCall:
+		return uint32(in.Kind), in.Target == 0
+	}
+	return 0, false
 }
 
 // AppendPlain adds n plain instructions.
 func (b *Builder) AppendPlain(n int) {
-	for i := 0; i < n; i++ {
-		b.Append(Inst{Kind: isa.Plain})
+	if n <= 0 {
+		return
 	}
+	if n > maxSlots-b.n() {
+		b.over += n
+		return
+	}
+	b.words = append(b.words, make([]uint32, n)...)
 }
 
 // MarkFunc records a function entry at the current PC.
@@ -82,10 +152,43 @@ func (b *Builder) MarkFunc(name string) {
 }
 
 // Build finalizes the image. Function lengths are derived from the next
-// function's entry (or the image end). Direct-branch targets are validated
-// to land inside the image.
+// function's entry (or the image end). It rejects an image of more than
+// maxSlots instructions or whose end wraps past 2^64, and reports the first
+// instruction, in address order, with an unknown kind, a Target on a kind
+// that has none, or a direct target that is misaligned or outside the
+// image.
 func (b *Builder) Build() (*Image, error) {
-	img := &Image{base: b.base, code: b.code, funcs: b.funcs}
+	n := b.n()
+	if n > maxSlots {
+		return nil, fmt.Errorf("program: image has %d instructions, more than %d", n, maxSlots)
+	}
+	if uint64(n) > (math.MaxUint64-uint64(b.base))/isa.InstBytes {
+		return nil, fmt.Errorf("program: image of %d instructions at base %s wraps past the end of the address space", n, b.base)
+	}
+	img := &Image{base: b.base, words: make([]uint32, n), funcs: b.funcs}
+	// One backward pass fills in the plain runs (each word holds its run's
+	// length minus one) and finds the lowest direct target past the end.
+	firstOut := n
+	run := uint32(0)
+	for i := n - 1; i >= 0; i-- {
+		w := b.words[i]
+		if k := isa.Kind(w & kindMask); k == isa.Plain {
+			w = run << kindBits
+			run++
+		} else {
+			run = 0
+			if direct(k) && int(w>>kindBits) >= n {
+				firstOut = i
+			}
+		}
+		img.words[i] = w
+	}
+	if len(b.bad) > 0 && b.bad[0].slot < firstOut {
+		return nil, img.badInst(b.bad[0].slot, b.bad[0].in)
+	}
+	if firstOut < n {
+		return nil, img.badInst(firstOut, img.At(img.base.Plus(firstOut)))
+	}
 	sort.Slice(img.funcs, func(i, j int) bool { return img.funcs[i].Entry < img.funcs[j].Entry })
 	for i := range img.funcs {
 		end := img.End()
@@ -94,42 +197,34 @@ func (b *Builder) Build() (*Image, error) {
 		}
 		img.funcs[i].NumInsts = int(end-img.funcs[i].Entry) / isa.InstBytes
 	}
-	for i, in := range img.code {
-		if in.Kind == isa.CondBranch || in.Kind == isa.Jump || in.Kind == isa.Call {
-			if uint64(in.Target)%isa.InstBytes != 0 {
-				return nil, fmt.Errorf("program: instruction %s has misaligned target %s", img.base.Plus(i), in.Target)
-			}
-			if !img.Contains(in.Target) {
-				return nil, fmt.Errorf("program: instruction %s has target %s outside image [%s,%s)",
-					img.base.Plus(i), in.Target, img.base, img.End())
-			}
-		}
-	}
-	img.plainRun = make([]int32, len(img.code))
-	for i := len(img.code) - 1; i >= 0; i-- {
-		if img.code[i].Kind != isa.Plain {
-			continue
-		}
-		run := int32(1)
-		if i+1 < len(img.code) {
-			run += img.plainRun[i+1]
-		}
-		img.plainRun[i] = run
-	}
 	return img, nil
+}
+
+// badInst describes why in, at the given slot, cannot be in the image.
+func (img *Image) badInst(slot int, in Inst) error {
+	pc := img.base.Plus(slot)
+	switch {
+	case in.Kind > isa.IndirectCall:
+		return fmt.Errorf("program: instruction %s has unknown kind %s", pc, in.Kind)
+	case !direct(in.Kind):
+		return fmt.Errorf("program: instruction %s is %s with target %s; only direct transfers have one", pc, in.Kind, in.Target)
+	case uint64(in.Target)%isa.InstBytes != 0:
+		return fmt.Errorf("program: instruction %s has misaligned target %s", pc, in.Target)
+	}
+	return fmt.Errorf("program: instruction %s has target %s outside image [%s,%s)", pc, in.Target, img.base, img.End())
 }
 
 // Base returns the lowest instruction address.
 func (img *Image) Base() isa.Addr { return img.base }
 
 // End returns the first address past the image.
-func (img *Image) End() isa.Addr { return img.base.Plus(len(img.code)) }
+func (img *Image) End() isa.Addr { return img.base.Plus(len(img.words)) }
 
 // NumInsts returns the static instruction count.
-func (img *Image) NumInsts() int { return len(img.code) }
+func (img *Image) NumInsts() int { return len(img.words) }
 
 // SizeBytes returns the code footprint in bytes.
-func (img *Image) SizeBytes() int { return len(img.code) * isa.InstBytes }
+func (img *Image) SizeBytes() int { return len(img.words) * isa.InstBytes }
 
 // Contains reports whether a is a valid instruction address in the image.
 func (img *Image) Contains(a isa.Addr) bool {
@@ -137,18 +232,23 @@ func (img *Image) Contains(a isa.Addr) bool {
 }
 
 // At returns the instruction at address a. It panics if a is outside the
-// image; callers on speculative paths should check Contains first. The
-// panic construction lives in a separate function so At itself stays small
-// enough to inline into fetch loops.
+// image; callers on speculative paths should check Contains first. At is
+// too large to inline (the compiler costs it above its budget of 80), so
+// each call is one function call; the panic construction lives in a
+// separate function to keep that call cheap.
 func (img *Image) At(a isa.Addr) Inst {
 	if !img.Contains(a) {
 		img.atPanic(a)
 	}
-	return img.code[(a-img.base)/isa.InstBytes]
-}
-
-func (img *Image) atPanic(a isa.Addr) {
-	panic(fmt.Sprintf("program: address %s outside image [%s,%s)", a, img.base, img.End()))
+	w := img.words[(a-img.base)/isa.InstBytes]
+	// The target is computed unconditionally and then cleared, which
+	// compiles to a conditional move instead of a branch on the kind.
+	k := isa.Kind(w & kindMask)
+	t := img.base + isa.Addr(w>>kindBits)*isa.InstBytes
+	if !direct(k) {
+		t = 0
+	}
+	return Inst{Kind: k, Target: t}
 }
 
 // PlainRunLen returns the number of consecutive Plain instructions starting
@@ -158,7 +258,16 @@ func (img *Image) PlainRunLen(a isa.Addr) int {
 	if !img.Contains(a) {
 		img.atPanic(a)
 	}
-	return int(img.plainRun[(a-img.base)/isa.InstBytes])
+	w := img.words[(a-img.base)/isa.InstBytes]
+	run := int(w>>kindBits) + 1 // cleared below without a branch, as in At
+	if w&kindMask != uint32(isa.Plain) {
+		run = 0
+	}
+	return run
+}
+
+func (img *Image) atPanic(a isa.Addr) {
+	panic(fmt.Sprintf("program: address %s outside image [%s,%s)", a, img.base, img.End()))
 }
 
 // Funcs returns the recorded functions, sorted by entry address.
@@ -190,22 +299,23 @@ type Stats struct {
 // Stats computes the static instruction mix.
 func (img *Image) Stats() Stats {
 	var s Stats
-	s.Insts = len(img.code)
-	for _, in := range img.code {
-		if !in.Kind.IsBranch() {
+	s.Insts = len(img.words)
+	for _, w := range img.words {
+		k := isa.Kind(w & kindMask)
+		if !k.IsBranch() {
 			continue
 		}
 		s.Branches++
 		switch {
-		case in.Kind.IsConditional():
+		case k.IsConditional():
 			s.Conditional++
-		case in.Kind.IsIndirect():
+		case k.IsIndirect():
 			s.Indirect++
 		}
-		if in.Kind.IsCall() {
+		if k.IsCall() {
 			s.Calls++
 		}
-		if in.Kind == isa.Return {
+		if k == isa.Return {
 			s.Returns++
 		}
 	}
