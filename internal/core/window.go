@@ -151,7 +151,8 @@ func (e *Engine) wrongPathFetchCycle(wc Cycles, ph wpPhase, st *wpState) {
 	groupLineValid := false
 
 	for slot := 0; slot < width; slot++ {
-		if !e.img.Contains(st.wpc) {
+		in, run, ok := e.img.Slot(st.wpc)
+		if !ok {
 			// Ran off the image (e.g. fall-through past the last function).
 			st.stalled = true
 			return
@@ -192,7 +193,7 @@ func (e *Engine) wrongPathFetchCycle(wc Cycles, ph wpPhase, st *wpState) {
 		// the line, and the run itself); the per-instruction loop this
 		// replaces would do exactly one WrongPathInsts++ and a pc.Next() per
 		// iteration.
-		if run := e.img.PlainRunLen(st.wpc); run > 0 {
+		if run > 0 {
 			k := width - slot
 			if run < k {
 				k = run
@@ -207,7 +208,6 @@ func (e *Engine) wrongPathFetchCycle(wc Cycles, ph wpPhase, st *wpState) {
 			continue
 		}
 
-		in := e.img.At(st.wpc)
 		if in.Kind.IsConditional() && e.condCount()+e.wrongConds >= e.cfg.MaxUnresolved {
 			// Out of speculation slots; wrong-path fetch waits. Slots are
 			// only reclaimed by resolutions of pre-window branches or by the

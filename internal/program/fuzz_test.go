@@ -213,16 +213,18 @@ func FuzzImageBuild(f *testing.F) {
 		}
 		for i, in := range code {
 			pc := base.Plus(i)
-			if !img.Contains(pc) || img.At(pc) != in || img.PlainRunLen(pc) != int(ref.plainRun[i]) {
-				t.Fatalf("slot %d (%s): Contains %v At %+v PlainRunLen %d, want %+v run %d",
-					i, pc, img.Contains(pc), img.At(pc), img.PlainRunLen(pc), in, ref.plainRun[i])
+			got, run, ok := img.Slot(pc)
+			if !ok || !img.Contains(pc) || got != in || img.At(pc) != in || run != int(ref.plainRun[i]) {
+				t.Fatalf("slot %d (%s): Slot %+v run %d ok %v, Contains %v At %+v; want %+v run %d",
+					i, pc, got, run, ok, img.Contains(pc), img.At(pc), in, ref.plainRun[i])
 			}
-			if img.Contains(pc + 2) {
-				t.Fatalf("Contains accepts misaligned %s", pc+2)
+			if _, _, ok := img.Slot(pc + 2); ok || img.Contains(pc+2) {
+				t.Fatalf("misaligned %s is addressable", pc+2)
 			}
 		}
 		for _, pc := range []isa.Addr{base - isa.InstBytes, img.End()} {
-			if img.Contains(pc) || !panics(func() { img.At(pc) }) || !panics(func() { img.PlainRunLen(pc) }) {
+			in, run, ok := img.Slot(pc)
+			if ok || in != (Inst{}) || run != 0 || img.Contains(pc) || !panics(func() { img.At(pc) }) {
 				t.Fatalf("address %s one slot past the image [%s,%s) is addressable", pc, base, img.End())
 			}
 		}

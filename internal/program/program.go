@@ -7,6 +7,7 @@ package program
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"specfetch/internal/isa"
@@ -143,7 +144,13 @@ func (b *Builder) AppendPlain(n int) {
 		b.over += n
 		return
 	}
-	b.words = append(b.words, make([]uint32, n)...)
+	// This allocates what append(words, make([]uint32, n)...) allocates in
+	// a normal build. Under -race the compiler keeps that form's temporary
+	// slice, which made Build allocate ~17% more there; slices.Grow makes a
+	// temporary only when the slice grows.
+	l := len(b.words)
+	b.words = slices.Grow(b.words, n)[:l+n]
+	clear(b.words[l:])
 }
 
 // MarkFunc records a function entry at the current PC.
@@ -232,38 +239,47 @@ func (img *Image) Contains(a isa.Addr) bool {
 }
 
 // At returns the instruction at address a. It panics if a is outside the
-// image; callers on speculative paths should check Contains first. At is
-// too large to inline (the compiler costs it above its budget of 80), so
-// each call is one function call; the panic construction lives in a
-// separate function to keep that call cheap.
+// image; callers on speculative paths should use Slot. At is too large to
+// inline (the compiler costs it above its budget of 80), so each call is
+// one function call; the panic construction lives in a separate function
+// to keep that call cheap.
 func (img *Image) At(a isa.Addr) Inst {
 	if !img.Contains(a) {
 		img.atPanic(a)
 	}
-	w := img.words[(a-img.base)/isa.InstBytes]
-	// The target is computed unconditionally and then cleared, which
-	// compiles to a conditional move instead of a branch on the kind.
+	return img.decode(img.words[(a-img.base)/isa.InstBytes])
+}
+
+// Slot returns the instruction at address a and, when it is Plain, the
+// length of the run of consecutive Plain instructions starting there (0
+// for a control transfer). ok is false, and the other results zero, when a
+// is not an instruction address in the image. It makes one bounds check,
+// so a caller that walks the image reads each slot with one call.
+func (img *Image) Slot(a isa.Addr) (in Inst, run int, ok bool) {
+	// Below the base, a-base wraps to at least len(words) slots, because
+	// Build rejects an image whose end wraps.
+	i := uint64(a-img.base) / isa.InstBytes
+	if uint64(a)%isa.InstBytes != 0 || i >= uint64(len(img.words)) {
+		return Inst{}, 0, false
+	}
+	w := img.words[i]
+	run = int(w>>kindBits) + 1 // cleared below without a branch, as in decode
+	if w&kindMask != uint32(isa.Plain) {
+		run = 0
+	}
+	return img.decode(w), run, true
+}
+
+// decode unpacks a slot word. The target is computed unconditionally and
+// then cleared, which compiles to a conditional move instead of a branch
+// on the kind.
+func (img *Image) decode(w uint32) Inst {
 	k := isa.Kind(w & kindMask)
 	t := img.base + isa.Addr(w>>kindBits)*isa.InstBytes
 	if !direct(k) {
 		t = 0
 	}
 	return Inst{Kind: k, Target: t}
-}
-
-// PlainRunLen returns the number of consecutive Plain instructions starting
-// at address a (0 when a holds a control transfer). a must be inside the
-// image.
-func (img *Image) PlainRunLen(a isa.Addr) int {
-	if !img.Contains(a) {
-		img.atPanic(a)
-	}
-	w := img.words[(a-img.base)/isa.InstBytes]
-	run := int(w>>kindBits) + 1 // cleared below without a branch, as in At
-	if w&kindMask != uint32(isa.Plain) {
-		run = 0
-	}
-	return run
 }
 
 func (img *Image) atPanic(a isa.Addr) {

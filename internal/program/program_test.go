@@ -82,6 +82,11 @@ func TestContainsAndAt(t *testing.T) {
 	if img.At(0x104).Kind != isa.Call {
 		t.Errorf("At(0x104) = %v", img.At(0x104))
 	}
+	for _, a := range []isa.Addr{0, 0xfc, 0x102, 0x108, 0x10c, ^isa.Addr(3)} {
+		if in, run, ok := img.Slot(a); ok || in != (Inst{}) || run != 0 {
+			t.Errorf("Slot(%s) = %+v, %d, %v outside the image", a, in, run, ok)
+		}
+	}
 	defer func() {
 		if recover() == nil {
 			t.Error("At outside image did not panic")
@@ -245,8 +250,8 @@ func TestPackedBoundaries(t *testing.T) {
 		t.Errorf("At(0x4c) = %+v", got)
 	}
 	for a, want := range map[isa.Addr]int{0x40: 0, 0x44: 2, 0x48: 1, 0x4c: 0, 0x50: 3, 0x54: 2, 0x58: 1} {
-		if got := img.PlainRunLen(a); got != want {
-			t.Errorf("PlainRunLen(%s) = %d, want %d", a, got, want)
+		if in, got, ok := img.Slot(a); !ok || got != want || in != img.At(a) {
+			t.Errorf("Slot(%s) = %+v, %d, %v; want At's instruction, %d, true", a, in, got, ok, want)
 		}
 	}
 	if got := img.At(0x58); got != (Inst{Kind: isa.Plain}) {
@@ -267,8 +272,8 @@ func TestPackedBoundaries(t *testing.T) {
 		if in.Kind == isa.Plain {
 			wantRun = 1
 		}
-		if got := img.PlainRunLen(0x40); got != wantRun {
-			t.Errorf("one-instruction image %+v: PlainRunLen = %d", in, got)
+		if got, run, ok := img.Slot(0x40); !ok || got != in || run != wantRun {
+			t.Errorf("one-instruction image %+v: Slot = %+v, %d, %v", in, got, run, ok)
 		}
 	}
 }

@@ -8,39 +8,21 @@ import (
 	"specfetch/internal/xrand"
 )
 
-// condMeta is the dynamic behaviour of one conditional-branch site.
-type condMeta struct {
-	// takenP is the per-execution probability the branch is taken, used
-	// when pattern is nil.
-	takenP float64
-	// pattern, when non-nil, is a deterministic periodic outcome sequence
-	// the site cycles through (history-predictable behaviour).
-	pattern []bool
-	// class tags the site's generation origin ("bias", "pattern", "hard",
-	// "loop", "guard") for diagnostics.
-	class string
-}
-
-// indirectMeta is the dynamic behaviour of one indirect-transfer site.
-type indirectMeta struct {
-	targets []isa.Addr
-	zipf    *xrand.Zipf
-}
-
 // Bench is a generated synthetic benchmark: the static image plus the
 // per-site dynamic behaviour needed to walk correct-path traces from it.
 type Bench struct {
 	profile Profile
 	img     *program.Image
 	entry   isa.Addr
-	conds   map[isa.Addr]condMeta
-	indirs  map[isa.Addr]indirectMeta
 	// loopStart is the top of the driver loop; walkers count iterations by
 	// watching control return to it.
 	loopStart isa.Addr
-	// guardIdx maps each driver guard branch to its site index, for phased
-	// execution.
-	guardIdx map[isa.Addr]int
+	// conds and indirs hold the conditional and indirect sites in address
+	// order; condAt and indirAt map a site's address to its index.
+	conds   []condMeta
+	indirs  []indirectMeta
+	condAt  siteIndex
+	indirAt siteIndex
 	// fromProfile marks a bench Build generated, which Build(profile)
 	// reproduces exactly.
 	fromProfile bool
@@ -73,11 +55,9 @@ type gen struct {
 	p         Profile
 	rng       *xrand.Rand
 	b         *program.Builder
-	conds     map[isa.Addr]condMeta
-	indirs    map[isa.Addr]indirectMeta
+	sites     siteList
 	entries   []isa.Addr
 	zipf      *xrand.Zipf
-	guardIdx  map[isa.Addr]int
 	loopStart isa.Addr
 }
 
@@ -91,13 +71,10 @@ func Build(p Profile) (*Bench, error) {
 		return nil, err
 	}
 	g := &gen{
-		p:        p,
-		rng:      xrand.New(p.Seed ^ hashName(p.Name)),
-		b:        builder,
-		conds:    make(map[isa.Addr]condMeta),
-		indirs:   make(map[isa.Addr]indirectMeta),
-		zipf:     xrand.NewZipf(p.NumFuncs, p.ZipfS),
-		guardIdx: make(map[isa.Addr]int),
+		p:    p,
+		rng:  xrand.New(p.Seed ^ hashName(p.Name)),
+		b:    builder,
+		zipf: xrand.NewZipf(p.NumFuncs, p.ZipfS),
 	}
 	for i := 0; i < p.NumFuncs; i++ {
 		g.genFunc(i)
@@ -107,12 +84,12 @@ func Build(p Profile) (*Bench, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synth: %s: %w", p.Name, err)
 	}
-	return &Bench{
-		profile: p, img: img, entry: entry,
-		conds: g.conds, indirs: g.indirs,
-		loopStart: g.loopStart, guardIdx: g.guardIdx,
-		fromProfile: true,
-	}, nil
+	b, err := newBench(p, img, entry, g.loopStart, &g.sites)
+	if err != nil {
+		return nil, fmt.Errorf("synth: %s: %w", p.Name, err)
+	}
+	b.fromProfile = true
+	return b, nil
 }
 
 // MustBuild is Build for known-good profiles.
@@ -158,9 +135,9 @@ func (g *gen) condSite(inLoop bool) condMeta {
 			takenSide = 0.5
 		}
 		if g.rng.Bool(takenSide) {
-			return condMeta{takenP: 1 - g.p.BiasNear, class: "bias"}
+			return condMeta{takenP: 1 - g.p.BiasNear, class: classBias}
 		}
-		return condMeta{takenP: g.p.BiasNear, class: "bias"}
+		return condMeta{takenP: g.p.BiasNear, class: classBias}
 	case r < g.p.CondBiasFrac+g.p.PatternFrac:
 		if !inLoop {
 			// Outside loops a gshare predictor cannot see the site's own
@@ -168,26 +145,24 @@ func (g *gen) condSite(inLoop bool) condMeta {
 			// behave like a worst-case random branch. Fold the mass into a
 			// moderately biased site instead.
 			if g.rng.Bool(0.5) {
-				return condMeta{takenP: 2 * g.p.BiasNear, class: "bias"}
+				return condMeta{takenP: 2 * g.p.BiasNear, class: classBias}
 			}
-			return condMeta{takenP: 1 - 2*g.p.BiasNear, class: "bias"}
+			return condMeta{takenP: 1 - 2*g.p.BiasNear, class: classBias}
 		}
 		n := 2 + g.rng.Intn(3)
-		pat := make([]bool, n)
-		same := true
-		for i := range pat {
-			pat[i] = g.rng.Bool(0.5)
-			if i > 0 && pat[i] != pat[0] {
-				same = false
+		var pat uint8
+		for i := 0; i < n; i++ {
+			if g.rng.Bool(0.5) {
+				pat |= 1 << i
 			}
 		}
-		if same {
-			pat[n/2] = !pat[0]
+		if all := uint8(1)<<n - 1; pat == 0 || pat == all {
+			pat ^= 1 << (n / 2) // a constant pattern gets one opposite outcome
 		}
-		return condMeta{pattern: pat, class: "pattern"}
+		return condMeta{patLen: uint8(n), pat: pat, class: classPattern}
 	default:
 		lo, hi := g.p.HardRange[0], g.p.HardRange[1]
-		return condMeta{takenP: lo + g.rng.Float64()*(hi-lo), class: "hard"}
+		return condMeta{takenP: lo + g.rng.Float64()*(hi-lo), class: classHard}
 	}
 }
 
@@ -264,7 +239,7 @@ func (g *gen) genIfElse() {
 	g.b.AppendPlain(thenLen)
 	g.b.Append(program.Inst{Kind: isa.Jump, Target: join})
 	g.b.AppendPlain(elseLen)
-	g.conds[condPC] = g.condSite(false)
+	g.sites.cond(condPC, g.condSite(false))
 }
 
 // genIfSkip emits a conditional that either falls into or skips a body
@@ -278,7 +253,7 @@ func (g *gen) genIfSkip(mul float64, inLoop bool) {
 	condPC := g.b.PC()
 	g.b.Append(program.Inst{Kind: isa.CondBranch, Target: condPC.Plus(1 + bodyLen)})
 	g.b.AppendPlain(bodyLen)
-	g.conds[condPC] = g.condSite(inLoop)
+	g.sites.cond(condPC, g.condSite(inLoop))
 }
 
 // genLoop emits an innermost loop: preheader, body (optionally containing a
@@ -299,7 +274,7 @@ func (g *gen) genLoop() {
 	condPC := g.b.PC()
 	g.b.Append(program.Inst{Kind: isa.CondBranch, Target: loopStart})
 	contP := 1 - 1/g.p.MeanLoopTrip
-	g.conds[condPC] = condMeta{takenP: contP, class: "loop"}
+	g.sites.cond(condPC, condMeta{takenP: contP, class: classLoop})
 }
 
 // genCall emits a call site in function i: a direct call to a hotter,
@@ -336,7 +311,7 @@ func (g *gen) genIndirect(kind isa.Kind, limit int) {
 		targets = append(targets, g.entries[c])
 	}
 	pc := g.b.Append(program.Inst{Kind: kind})
-	g.indirs[pc] = indirectMeta{targets: targets, zipf: xrand.NewZipf(len(targets), 1.0)}
+	g.sites.indirect(pc, indirectMeta{targets: targets, zipf: xrand.NewZipf(len(targets), 1.0)})
 }
 
 // genSwitch emits a switch-style indirect jump over case blocks inside the
@@ -366,7 +341,7 @@ func (g *gen) genSwitch() {
 		g.b.AppendPlain(cl)
 		g.b.Append(program.Inst{Kind: isa.Jump, Target: join})
 	}
-	g.indirs[ijPC] = indirectMeta{targets: caseStarts, zipf: xrand.NewZipf(ncases, 0.8)}
+	g.sites.indirect(ijPC, indirectMeta{targets: caseStarts, zipf: xrand.NewZipf(ncases, 0.8)})
 }
 
 // guardExecP draws a driver call-site execution probability from a high/low
@@ -406,8 +381,7 @@ func (g *gen) genDriver() isa.Addr {
 		// guard would flood the PHT with worst-case branches.
 		execP := g.guardExecP()
 		g.b.Append(program.Inst{Kind: isa.CondBranch, Target: guardPC.Plus(2)})
-		g.conds[guardPC] = condMeta{takenP: 1 - execP, class: "guard"}
-		g.guardIdx[guardPC] = s
+		g.sites.cond(guardPC, condMeta{takenP: 1 - execP, guard: int32(s), class: classGuard})
 		callee := g.pickCallee(g.p.NumFuncs)
 		g.b.Append(program.Inst{Kind: isa.Call, Target: g.entries[callee]})
 		if g.rng.Bool(0.3) {

@@ -62,17 +62,6 @@ func profileFuncs(b *Bench, insts int64, streamSeed uint64) (map[isa.Addr]int64,
 	}
 }
 
-// sortedSites returns m's keys in ascending address order, so iterating the
-// site maps (and any remap error they surface) is reproducible.
-func sortedSites[V any](m map[isa.Addr]V) []isa.Addr {
-	keys := make([]isa.Addr, 0, len(m))
-	for a := range m {
-		keys = append(keys, a)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // relayout rebuilds the benchmark with functions emitted in the given order
 // (indices into the image's function list).
 func relayout(b *Bench, order []int) (*Bench, error) {
@@ -102,11 +91,12 @@ func relayout(b *Bench, order []int) (*Bench, error) {
 		return newEntry[f.Entry] + (a - f.Entry), nil
 	}
 
-	// Second pass: emit code.
+	// Second pass: emit code and its sites.
 	nb, err := program.NewBuilder(oldImg.Base())
 	if err != nil {
 		return nil, err
 	}
+	var sites siteList
 	for _, idx := range order {
 		f := funcs[idx]
 		for uint64(nb.PC())%uint64(geom.LineBytes) != 0 {
@@ -118,7 +108,8 @@ func relayout(b *Bench, order []int) (*Bench, error) {
 		}
 		nb.MarkFunc(f.Name)
 		for i := 0; i < f.NumInsts; i++ {
-			in := oldImg.At(f.Entry.Plus(i))
+			old := f.Entry.Plus(i)
+			in := oldImg.At(old)
 			if in.Kind == isa.CondBranch || in.Kind == isa.Jump || in.Kind == isa.Call {
 				t, err := remap(in.Target)
 				if err != nil {
@@ -126,7 +117,23 @@ func relayout(b *Bench, order []int) (*Bench, error) {
 				}
 				in.Target = t
 			}
-			nb.Append(in)
+			pc := nb.Append(in)
+			// Sites move with their instructions, so emission order is the
+			// new address order.
+			switch in.Kind {
+			case isa.CondBranch:
+				sites.cond(pc, b.conds[b.condAt.index(old)])
+			case isa.IndirectJump, isa.IndirectCall:
+				m := b.indirs[b.indirAt.index(old)]
+				nm := indirectMeta{targets: make([]isa.Addr, len(m.targets)), zipf: m.zipf}
+				for j, t := range m.targets {
+					if nm.targets[j], err = remap(t); err != nil {
+						return nil, err
+					}
+				}
+				sites.indirect(pc, nm)
+			default:
+			}
 		}
 	}
 	newImg, err := nb.Build()
@@ -134,41 +141,6 @@ func relayout(b *Bench, order []int) (*Bench, error) {
 		return nil, fmt.Errorf("synth: rebuilding reordered image: %w", err)
 	}
 
-	// Remap the dynamic-site metadata, visiting sites in address order so a
-	// remap failure always reports the same (lowest) offending address.
-	newConds := make(map[isa.Addr]condMeta, len(b.conds))
-	for _, a := range sortedSites(b.conds) {
-		na, err := remap(a)
-		if err != nil {
-			return nil, err
-		}
-		newConds[na] = b.conds[a]
-	}
-	newIndirs := make(map[isa.Addr]indirectMeta, len(b.indirs))
-	for _, a := range sortedSites(b.indirs) {
-		m := b.indirs[a]
-		na, err := remap(a)
-		if err != nil {
-			return nil, err
-		}
-		nm := indirectMeta{targets: make([]isa.Addr, len(m.targets)), zipf: m.zipf}
-		for i, t := range m.targets {
-			nt, err := remap(t)
-			if err != nil {
-				return nil, err
-			}
-			nm.targets[i] = nt
-		}
-		newIndirs[na] = nm
-	}
-	newGuards := make(map[isa.Addr]int, len(b.guardIdx))
-	for _, a := range sortedSites(b.guardIdx) {
-		na, err := remap(a)
-		if err != nil {
-			return nil, err
-		}
-		newGuards[na] = b.guardIdx[a]
-	}
 	entry, err := remap(b.entry)
 	if err != nil {
 		return nil, err
@@ -178,13 +150,5 @@ func relayout(b *Bench, order []int) (*Bench, error) {
 		return nil, err
 	}
 
-	return &Bench{
-		profile:   b.profile,
-		img:       newImg,
-		entry:     entry,
-		conds:     newConds,
-		indirs:    newIndirs,
-		loopStart: loopStart,
-		guardIdx:  newGuards,
-	}, nil
+	return newBench(b.profile, newImg, entry, loopStart, &sites)
 }

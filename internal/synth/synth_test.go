@@ -213,7 +213,11 @@ func TestCondClassTagging(t *testing.T) {
 	classes := map[string]int{}
 	for pc := img.Base(); pc < img.End(); pc = pc.Next() {
 		if img.At(pc).Kind == isa.CondBranch {
-			cls := b.conds[pc].class
+			i := b.condAt.index(pc)
+			if i < 0 {
+				t.Fatalf("conditional at %s has no site", pc)
+			}
+			cls := b.conds[i].class.String()
 			if cls == "" {
 				t.Fatalf("conditional at %s has no class", pc)
 			}

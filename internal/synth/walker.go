@@ -23,8 +23,8 @@ type Walker struct {
 	pc    isa.Addr
 	stack []isa.Addr
 	// patPos tracks each patterned conditional site's position in its
-	// outcome sequence.
-	patPos map[isa.Addr]int
+	// outcome sequence, by site index.
+	patPos []uint8
 	// iter counts completed driver-loop iterations, driving phased
 	// execution.
 	iter int64
@@ -37,7 +37,7 @@ func (b *Bench) NewWalker(streamSeed uint64) *Walker {
 		bench:  b,
 		rng:    xrand.New(b.profile.Seed ^ streamSeed ^ 0xabcdef0123456789),
 		pc:     b.entry,
-		patPos: make(map[isa.Addr]int),
+		patPos: make([]uint8, len(b.conds)),
 	}
 }
 
@@ -55,13 +55,14 @@ func (w *Walker) Next() (trace.Record, error) {
 	img := w.bench.img
 	n := 0
 	for {
-		if !img.Contains(w.pc) {
+		in, run, ok := img.Slot(w.pc)
+		if !ok {
 			return trace.Record{}, fmt.Errorf("synth: walker left the image at %s (block start %s)", w.pc, start)
 		}
 		// Consume a whole run of plain instructions at once; record contents
 		// are identical to the per-instruction walk, including the split at
 		// maxPlainRun and the off-image error address.
-		if run := img.PlainRunLen(w.pc); run > 0 {
+		if run > 0 {
 			if n+run >= maxPlainRun {
 				take := maxPlainRun - n
 				w.pc = w.pc.Plus(take)
@@ -71,7 +72,6 @@ func (w *Walker) Next() (trace.Record, error) {
 			w.pc = w.pc.Plus(run)
 			continue
 		}
-		in := img.At(w.pc)
 		n++
 		rec, err := w.branch(in, start, n)
 		return rec, err
@@ -85,20 +85,22 @@ func (w *Walker) branch(in program.Inst, start isa.Addr, n int) (trace.Record, e
 	rec := trace.Record{Start: start, N: n, BrKind: in.Kind}
 	switch in.Kind {
 	case isa.CondBranch:
-		meta, ok := w.bench.conds[pc]
-		if !ok {
-			return trace.Record{}, fmt.Errorf("synth: conditional at %s has no site metadata", pc)
-		}
+		// newBench checked that every conditional slot has a site.
+		i := w.bench.condAt.index(pc)
+		meta := &w.bench.conds[i]
 		switch {
-		case meta.pattern != nil:
-			pos := w.patPos[pc]
-			rec.Taken = meta.pattern[pos]
-			w.patPos[pc] = (pos + 1) % len(meta.pattern)
-		case meta.class == "guard" && w.bench.profile.PhaseSites > 0:
+		case meta.patLen > 0:
+			pos := w.patPos[i]
+			rec.Taken = meta.pat>>pos&1 != 0
+			if pos++; pos == meta.patLen {
+				pos = 0
+			}
+			w.patPos[i] = pos
+		case meta.class == classGuard && w.bench.profile.PhaseSites > 0:
 			// Phased execution: the guard skips its call (taken) unless the
 			// site is inside the currently active window.
 			takenP := 0.97
-			if w.inPhase(w.bench.guardIdx[pc]) {
+			if w.inPhase(int(meta.guard)) {
 				takenP = 1 - w.bench.profile.DriverCallExecP
 			}
 			rec.Taken = w.rng.Bool(takenP)
@@ -127,10 +129,8 @@ func (w *Walker) branch(in program.Inst, start isa.Addr, n int) (trace.Record, e
 		w.stack = w.stack[:len(w.stack)-1]
 
 	case isa.IndirectCall, isa.IndirectJump:
-		meta, ok := w.bench.indirs[pc]
-		if !ok {
-			return trace.Record{}, fmt.Errorf("synth: indirect transfer at %s has no site metadata", pc)
-		}
+		// newBench checked that every indirect slot has a site.
+		meta := &w.bench.indirs[w.bench.indirAt.index(pc)]
 		rec.Taken = true
 		rec.Target = meta.targets[meta.zipf.Draw(w.rng)]
 		if in.Kind == isa.IndirectCall {
