@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -9,11 +10,12 @@ import (
 	"specfetch/internal/xrand"
 )
 
-// condClass tags a conditional site's generation origin.
+// condClass tags a conditional site's generation origin. The zero value
+// means no class was set.
 type condClass uint8
 
 const (
-	classBias condClass = iota
+	classBias condClass = iota + 1
 	classPattern
 	classHard
 	classLoop
@@ -78,6 +80,10 @@ func (l *siteList) indirect(pc isa.Addr, m indirectMeta) {
 	l.indirs = append(l.indirs, m)
 }
 
+// errSiteMismatch reports sites that are not exactly the image's
+// conditional and indirect slots.
+var errSiteMismatch = errors.New("synth: sites do not match the image's conditional and indirect slots")
+
 // newBench assembles a benchmark from its image and sites. It checks that
 // the sites are exactly the image's conditional and indirect slots, so the
 // walker finds metadata for every such slot it reaches.
@@ -90,16 +96,10 @@ func newBench(p Profile, img *program.Image, entry, loopStart isa.Addr, l *siteL
 	if err != nil {
 		return nil, err
 	}
-	for _, pc := range l.condPCs {
-		if in := img.At(pc); in.Kind != isa.CondBranch {
-			return nil, fmt.Errorf("synth: conditional site %s is on a %s instruction", pc, in.Kind)
-		}
-	}
-	for _, pc := range l.indirPCs {
-		if in := img.At(pc); in.Kind != isa.IndirectJump && in.Kind != isa.IndirectCall {
-			return nil, fmt.Errorf("synth: indirect site %s is on a %s instruction", pc, in.Kind)
-		}
-	}
+	// The sites are distinct instruction addresses of the image, so if every
+	// conditional and indirect slot has one and the counts agree, they are
+	// exactly those slots.
+	nCond, nIndir := 0, 0
 	for pc := img.Base(); pc < img.End(); {
 		in, run, _ := img.Slot(pc)
 		if run > 0 {
@@ -109,15 +109,20 @@ func newBench(p Profile, img *program.Image, entry, loopStart isa.Addr, l *siteL
 		switch in.Kind {
 		case isa.CondBranch:
 			if condAt.index(pc) < 0 {
-				return nil, fmt.Errorf("synth: conditional at %s has no site", pc)
+				return nil, errSiteMismatch
 			}
+			nCond++
 		case isa.IndirectJump, isa.IndirectCall:
 			if indirAt.index(pc) < 0 {
-				return nil, fmt.Errorf("synth: indirect transfer at %s has no site", pc)
+				return nil, errSiteMismatch
 			}
+			nIndir++
 		default:
 		}
 		pc = pc.Next()
+	}
+	if nCond != len(l.condPCs) || nIndir != len(l.indirPCs) {
+		return nil, errSiteMismatch
 	}
 	return &Bench{
 		profile: p, img: img, entry: entry, loopStart: loopStart,
